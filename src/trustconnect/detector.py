@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 
 from .graph import DependencyGraph
-from .snapshot import Snapshot, deviations
-from .trust import TrustParams, edge_weight
+from .errors import require_finite
+from .snapshot import Snapshot, edge_deviations
+from .trust import TrustParams, edge_weights
 
 DETECTION_HEADER = "trustconnect-detection v1"
 DETECTION_CSV_HEADER = "id,evidence,flagged"
@@ -29,6 +30,7 @@ class DetectorParams:
     evidence_threshold: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "weight_threshold", "evidence_threshold")
         if not 0.0 < self.weight_threshold < 1.0:
             raise ValueError(
                 f"weight_threshold must be in (0, 1), got {self.weight_threshold}"
@@ -123,18 +125,16 @@ def detect(
     is by descending evidence with ties broken by ascending id.
     """
     det_params = det_params or DetectorParams()
-    devs = deviations(graph, snapshot)
-    epsilons = graph.epsilons()
-    adjacency = graph.out_adjacency()
+    cg = graph.compiled
+    weights = edge_weights(edge_deviations(graph, snapshot), trust_params.k)
     entries = []
-    for node in graph.nodes:
+    for node, start, stop in zip(graph.nodes, cg.offsets, cg.offsets[1:]):
         contradicting = []
         evidence = 0.0
-        for j in adjacency[node.id]:
-            w = edge_weight(devs[(node.id, j)], trust_params.k)
-            if w < det_params.weight_threshold:
-                contradicting.append(j)
-                evidence += epsilons[j]
+        for e in range(start, stop):
+            if weights[e] < det_params.weight_threshold:
+                contradicting.append(graph.edges[e][1])
+                evidence += cg.epsilons[cg.dst[e]]
         entries.append(
             DetectionEntry(
                 id=node.id,

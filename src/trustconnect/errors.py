@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class TrustConnectError(Exception):
     """Base class for all trustconnect errors."""
@@ -32,3 +34,11 @@ class GraphInvariantError(TrustConnectError):
 
 class SnapshotMismatchError(TrustConnectError):
     """A snapshot does not line up with its companion graph."""
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first attribute of ``obj`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")

@@ -53,11 +53,12 @@ from .snapshot import (
     AttackSpec,
     ScenarioSpec,
     Snapshot,
+    edge_deviations,
     scenario_from_text,
     synthesize_snapshot,
 )
 from .svgchart import grouped_bar_svg
-from .trust import MODES, TrustParams, TrustReport, full_report
+from .trust import MODES, TrustParams, TrustReport, report_from_deviations
 
 SWEEP_HEADER = "trustconnect-sweep v1"
 MANIFEST_HEADER = "trustconnect-sweep-manifest v1"
@@ -180,11 +181,12 @@ def run_sweep_on(
     _check_grid_axis("k_values", k_values)
     _check_grid_axis("alpha_values", alpha_values)
     snapshot = synthesize_snapshot(graph, scenario)
+    devs = edge_deviations(graph, snapshot)
     reports = {}
     for k in k_values:
         for alpha in alpha_values:
             params = TrustParams(k=k, alpha=alpha, mode=mode)
-            reports[(k, alpha)] = full_report(graph, snapshot, params)
+            reports[(k, alpha)] = report_from_deviations(graph, devs, params)
     return SweepResult(
         graph=graph,
         snapshot=snapshot,
@@ -408,7 +410,8 @@ def check_gap_ordering(
     only on pairs where at least one side's trust actually moved.
     Cells where no pair carries signal report the ordering as vacuous.
     """
-    unknown = [i for i in (*resilient, *exposed) if i not in result.graph.epsilons()]
+    node_ids = set(result.graph.node_ids)
+    unknown = [i for i in (*resilient, *exposed) if i not in node_ids]
     if unknown:
         raise ValueError(f"nodes not in the swept graph: {unknown}")
     cells = []

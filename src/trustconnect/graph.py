@@ -19,7 +19,9 @@ two equal graphs always serialize to byte-identical files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GraphInvariantError, ParseError
 
@@ -59,12 +61,6 @@ class DependencyGraph:
     def node_ids(self) -> tuple[int, ...]:
         return tuple(node.id for node in self.nodes)
 
-    def node(self, node_id: int) -> EcuNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise ValueError(f"unknown node id {node_id}")
-
     def epsilons(self) -> dict[int, float]:
         return {node.id: node.epsilon for node in self.nodes}
 
@@ -75,6 +71,46 @@ class DependencyGraph:
             if i in adjacency:
                 adjacency[i].append(j)
         return adjacency
+
+    @cached_property
+    def compiled(self) -> CompiledGraph:
+        """The flat form the evaluation loops run on, built on first use."""
+        return _compile(self)
+
+
+@dataclass(frozen=True)
+class CompiledGraph:
+    """Index-based (CSR) form of a DependencyGraph, shared by every evaluation.
+
+    Node ``k`` is the k-th node by ascending id: ``ids[k]``, resilience
+    ``epsilons[k]``. Its out-edges are positions ``offsets[k]:offsets[k + 1]``
+    of ``graph.edges``, and ``dst[e]`` is the node index of edge e's target.
+    ``baselines`` is the trust module's memo of snapshot-independent
+    baseline scores for this topology, keyed by the parameters they use.
+    """
+
+    ids: tuple[int, ...]
+    epsilons: tuple[float, ...]
+    offsets: tuple[int, ...]
+    dst: tuple[int, ...]
+    baselines: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+def _compile(graph: DependencyGraph) -> CompiledGraph:
+    ids = graph.node_ids
+    index = {node_id: k for k, node_id in enumerate(ids)}
+    src = [index.get(i) for i, _ in graph.edges]
+    dst = tuple(index.get(j) for _, j in graph.edges)
+    if len(index) != len(ids) or None in src or None in dst:
+        raise GraphInvariantError(validate(graph))
+    # edges are sorted by source id, so each node's out-edges are one run
+    offsets = tuple(bisect_left(src, k) for k in range(len(ids) + 1))
+    return CompiledGraph(
+        ids=ids,
+        epsilons=tuple(node.epsilon for node in graph.nodes),
+        offsets=offsets,
+        dst=dst,
+    )
 
 
 def validate(graph: DependencyGraph) -> list[str]:

@@ -31,6 +31,7 @@ The attack line is omitted for clean scenarios.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -139,16 +140,45 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
     return Snapshot(observed=observed, inferred=inferred)
 
 
-def deviations(graph: DependencyGraph, snapshot: Snapshot) -> dict[tuple[int, int], float]:
-    """Per-edge absolute gap between self-reported and inferred values."""
-    result: dict[tuple[int, int], float] = {}
+def edge_deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:
+    """|observed[i] - inferred[(i, j)]| for every edge, in ``graph.edges`` order.
+
+    Fails closed: raises SnapshotMismatchError naming the first node or
+    edge whose value is missing or non-finite, or whose deviation
+    overflows, so no NaN or infinity reaches trust or detection.
+    """
+    observed, inferred = snapshot.observed, snapshot.inferred
+    try:
+        result = [abs(observed[edge[0]] - inferred[edge]) for edge in graph.edges]
+    except KeyError:
+        result = None
+    # a NaN or infinite deviation makes the sum non-finite; a finite sum
+    # proves every deviation finite, so the per-edge scan runs only then
+    if result is None or not math.isfinite(sum(result)):
+        _check_edges(graph, snapshot)
+    return result
+
+
+def _check_edges(graph: DependencyGraph, snapshot: Snapshot) -> None:
     for i, j in graph.edges:
         if i not in snapshot.observed:
             raise SnapshotMismatchError(f"snapshot has no observed value for node {i}")
         if (i, j) not in snapshot.inferred:
             raise SnapshotMismatchError(f"snapshot has no inferred value for edge ({i}, {j})")
-        result[(i, j)] = abs(snapshot.observed[i] - snapshot.inferred[(i, j)])
-    return result
+        observed, inferred = snapshot.observed[i], snapshot.inferred[(i, j)]
+        if not math.isfinite(observed):
+            raise SnapshotMismatchError(f"non-finite observed value {observed!r} for node {i}")
+        if not math.isfinite(inferred):
+            raise SnapshotMismatchError(
+                f"non-finite inferred value {inferred!r} for edge ({i}, {j})"
+            )
+        if not math.isfinite(observed - inferred):
+            raise SnapshotMismatchError(f"deviation on edge ({i}, {j}) overflows")
+
+
+def deviations(graph: DependencyGraph, snapshot: Snapshot) -> dict[tuple[int, int], float]:
+    """Per-edge absolute gap between self-reported and inferred values."""
+    return dict(zip(graph.edges, edge_deviations(graph, snapshot)))
 
 
 def validate_snapshot(graph: DependencyGraph, snapshot: Snapshot) -> list[str]:
@@ -176,6 +206,13 @@ def to_text(snapshot: Snapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(field: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {field!r}")
+    return value
+
+
 def from_text(text: str, path: str | None = None) -> Snapshot:
     lines = text.splitlines()
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
@@ -192,11 +229,11 @@ def from_text(text: str, path: str | None = None) -> Snapshot:
             if kind == "obs":
                 if len(fields) != 3:
                     raise ValueError("expected: obs <i> <value>")
-                observed[int(fields[1])] = float(fields[2])
+                observed[int(fields[1])] = _finite(fields[2])
             elif kind == "inf":
                 if len(fields) != 4:
                     raise ValueError("expected: inf <i> <j> <value>")
-                inferred[(int(fields[1]), int(fields[2]))] = float(fields[3])
+                inferred[(int(fields[1]), int(fields[2]))] = _finite(fields[3])
             else:
                 raise ValueError(f"unknown record type {kind!r}")
         except ValueError as exc:

@@ -7,7 +7,7 @@ always starts at 0 and tops out at the largest value in any series.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 PALETTE = ("#4878a8", "#e8923c", "#6aa84f", "#a84848", "#7a5aa8")
 
@@ -54,7 +54,7 @@ def grouped_bar_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
     ]
 
     # y axis with five gridline ticks, 0 through peak
@@ -88,7 +88,7 @@ def grouped_bar_svg(
             parts.append(
                 f'<text x="{_fmt(gx + group_w / 2)}" y="{_fmt(baseline + 14)}" '
                 f'text-anchor="middle" font-family="sans-serif" font-size="9">'
-                f"{escape(label)}</text>"
+                f"{escape(label, quote=False)}</text>"
             )
 
     # axis lines on top of the bars
@@ -111,7 +111,7 @@ def grouped_bar_svg(
         )
         parts.append(
             f'<text x="{_fmt(lx + 14)}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(name)}</text>'
+            f'font-size="11">{escape(name, quote=False)}</text>'
         )
         lx += 20 + 7 * len(name)
 

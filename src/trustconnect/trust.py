@@ -28,17 +28,23 @@ trust value blends the two by resilience:
 so a hard-to-attack node (epsilon near 1) keeps its baseline score even
 when easily-attacked neighbors contradict it, while an exposed node
 (epsilon near 0) is pulled all the way down to its measured trust.
+
+Evaluation runs on the graph's compiled form (``DependencyGraph.compiled``).
+The BTV depends only on topology and parameters, so it is memoized there.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .graph import DependencyGraph
-from .snapshot import Snapshot, deviations
+from .errors import require_finite
+from .graph import CompiledGraph, DependencyGraph
+from .snapshot import Snapshot, deviations, edge_deviations
 
 REPORT_HEADER = "trustconnect-report v1"
 CSV_HEADER = "id,label,epsilon,btv,trust,eatv"
@@ -62,6 +68,7 @@ class TrustParams:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        require_finite(self, "k", "alpha", "c0", "tolerance")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.alpha < 0:
@@ -83,77 +90,92 @@ def edge_weight(d: float, k: float) -> float:
     return math.exp(-k * d)
 
 
-def _edge_weights(
-    graph: DependencyGraph, devs: dict[tuple[int, int], float], k: float
-) -> dict[tuple[int, int], float]:
-    return {edge: edge_weight(devs[edge], k) for edge in graph.edges}
+def edge_weights(devs: Iterable[float], k: float) -> list[float]:
+    """:func:`edge_weight` over edge-aligned deviations.
+
+    Unchecked: deviations are absolute values and TrustParams holds k
+    finite and non-negative.
+    """
+    exp = math.exp
+    return [exp(-k * d) for d in devs]
 
 
-def _single_pass(graph, weights, params):
-    epsilons = graph.epsilons()
-    adjacency = graph.out_adjacency()
-    scores: dict[int, float] = {}
-    for i in sorted(adjacency):
-        total = 0.0
-        for j in adjacency[i]:
-            c = scores[j] if j in scores else params.c0
-            total += epsilons[j] * params.alpha * c + weights[(i, j)]
-        scores[i] = total
-    return scores, True
+def _row_total(row, scores) -> float:
+    # left to right in edge order, so the sum is bit-for-bit the
+    # documented recurrence on every Python version
+    total = 0.0
+    for coef, j, weight in row:
+        total += coef * scores[j] + weight
+    return total
 
 
-def _fixed_point(graph, weights, params):
-    epsilons = graph.epsilons()
-    adjacency = graph.out_adjacency()
-    current = {i: params.c0 for i in adjacency}
-    converged = not adjacency
+def _propagate(cg: CompiledGraph, weights: list[float], params: TrustParams):
+    """Scores by node index for edge-aligned weights, and a converged flag.
+
+    Both modes sweep rows in ascending id. Single-pass updates the score
+    list in place (a neighbor not yet evaluated still holds c0); fixed-point
+    builds each iterate from the previous one.
+    """
+    alpha, offsets = params.alpha, cg.offsets
+    terms = list(zip([cg.epsilons[j] * alpha for j in cg.dst], cg.dst, weights))
+    rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
+    scores = [params.c0] * len(rows)
+    if params.mode == "single-pass":
+        for i, row in enumerate(rows):
+            scores[i] = _row_total(row, scores)
+        return scores, True
+    converged = not rows
     for _ in range(params.max_iterations):
-        nxt: dict[int, float] = {}
-        for i in sorted(adjacency):
-            total = 0.0
-            for j in adjacency[i]:
-                total += epsilons[j] * params.alpha * current[j] + weights[(i, j)]
-            nxt[i] = total
-        change = max((abs(nxt[i] - current[i]) for i in adjacency), default=0.0)
-        current = nxt
+        nxt = [_row_total(row, scores) for row in rows]
+        change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
+        scores = nxt
         if change < params.tolerance:
             converged = True
             break
-    return current, converged
+    return scores, converged
 
 
-def _trust_from_deviations(graph, devs, params):
-    weights = _edge_weights(graph, devs, params.k)
-    if params.mode == "single-pass":
-        return _single_pass(graph, weights, params)
-    return _fixed_point(graph, weights, params)
+def _baseline(cg: CompiledGraph, params: TrustParams):
+    """Memoized baseline scores by node index, and their converged flag.
+
+    Every baseline weight is exp(-k * 0.0) == 1.0 exactly, so k is not
+    part of the key.
+    """
+    key = (params.alpha, params.c0, params.mode, params.max_iterations, params.tolerance)
+    memo = cg.baselines.get(key)
+    if memo is None:
+        scores, converged = _propagate(cg, [1.0] * len(cg.dst), params)
+        memo = cg.baselines[key] = (tuple(scores), converged)
+    return memo
+
+
+def _warn_unconverged(params: TrustParams, what: str) -> None:
+    warnings.warn(
+        f"fixed-point {what} did not converge within "
+        f"{params.max_iterations} iterations; returning the last iterate",
+        NonConvergenceWarning,
+    )
 
 
 def trust_scores(
     graph: DependencyGraph, snapshot: Snapshot, params: TrustParams
 ) -> dict[int, float]:
     """Per-node trust score for one snapshot; warns on non-convergence."""
-    scores, converged = _trust_from_deviations(graph, deviations(graph, snapshot), params)
+    cg = graph.compiled
+    weights = edge_weights(edge_deviations(graph, snapshot), params.k)
+    scores, converged = _propagate(cg, weights, params)
     if not converged:
-        warnings.warn(
-            f"fixed-point evaluation did not converge within "
-            f"{params.max_iterations} iterations; returning the last iterate",
-            NonConvergenceWarning,
-        )
-    return scores
+        _warn_unconverged(params, "evaluation")
+    return dict(zip(cg.ids, scores))
 
 
 def baseline_trust(graph: DependencyGraph, params: TrustParams) -> dict[int, float]:
     """Trust scores under zero deviation everywhere (every weight is 1)."""
-    zero = {edge: 0.0 for edge in graph.edges}
-    scores, converged = _trust_from_deviations(graph, zero, params)
+    cg = graph.compiled
+    scores, converged = _baseline(cg, params)
     if not converged:
-        warnings.warn(
-            f"fixed-point baseline did not converge within "
-            f"{params.max_iterations} iterations; returning the last iterate",
-            NonConvergenceWarning,
-        )
-    return scores
+        _warn_unconverged(params, "baseline")
+    return dict(zip(cg.ids, scores))
 
 
 def adjusted_trust(btv: float, trust: float, epsilon: float) -> float:
@@ -286,31 +308,44 @@ def full_report(
     provenance: dict[str, str] | None = None,
 ) -> TrustReport:
     """Assemble baseline, trust, and adjusted trust for every node."""
-    devs = deviations(graph, snapshot)
-    trust, trust_conv = _trust_from_deviations(graph, devs, params)
-    zero = {edge: 0.0 for edge in graph.edges}
-    btv, base_conv = _trust_from_deviations(graph, zero, params)
-    if not (trust_conv and base_conv):
-        warnings.warn(
-            f"fixed-point evaluation did not converge within "
-            f"{params.max_iterations} iterations; the report carries the last iterate",
-            NonConvergenceWarning,
-        )
+    # through the public deviations(), so layer tracing (perfbench/spans.py)
+    # times this step; its keys follow graph.edges, so values are edge-aligned
+    devs = deviations(graph, snapshot).values()
+    return report_from_deviations(graph, devs, params, provenance)
+
+
+def report_from_deviations(
+    graph: DependencyGraph,
+    devs: Iterable[float],
+    params: TrustParams,
+    provenance: dict[str, str] | None = None,
+) -> TrustReport:
+    """:func:`full_report` from deviations in ``graph.edges`` order.
+
+    ``devs`` is what ``snapshot.edge_deviations`` returns, so a caller
+    evaluating one snapshot under many parameters computes it once.
+    """
+    cg = graph.compiled
+    trust, trust_conv = _propagate(cg, edge_weights(devs, params.k), params)
+    btv, base_conv = _baseline(cg, params)
+    converged = trust_conv and base_conv
+    if not converged:
+        _warn_unconverged(params, "evaluation")
     entries = tuple(
         TrustEntry(
             id=node.id,
             label=node.label,
             epsilon=node.epsilon,
-            btv=btv[node.id],
-            trust=trust[node.id],
-            eatv=adjusted_trust(btv[node.id], trust[node.id], node.epsilon),
+            btv=b,
+            trust=t,
+            eatv=adjusted_trust(b, t, node.epsilon),
         )
-        for node in graph.nodes
+        for node, b, t in zip(graph.nodes, btv, trust)
     )
     return TrustReport(
         entries=entries,
         network_trust=_network_trust(entries),
         params=params,
-        converged=trust_conv and base_conv,
+        converged=converged,
         provenance=tuple(sorted((provenance or {}).items())),
     )

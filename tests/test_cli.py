@@ -130,6 +130,24 @@ class TestEval:
         assert rc == 2
         assert "(0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--k", "--alpha", "--c0"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_param_exits_2_naming_it(self, fixture_dir, capsys, flag, value):
+        rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                   flag, value])
+        assert rc == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+    def test_non_finite_snapshot_value_exits_2_with_line(self, tmp_path, capsys):
+        _, graph_path = _tiny_graph_files(tmp_path)
+        snap_path = tmp_path / "nan.txt"
+        snap_path.write_text(
+            "trustconnect-snapshot v1\nobs 0 nan\nobs 1 1.0\ninf 0 1 1.0\n"
+        )
+        rc = main(["eval", "--graph", str(graph_path), "--snapshot", str(snap_path)])
+        assert rc == 2
+        assert f"{snap_path}:2: non-finite value 'nan'" in capsys.readouterr().err
+
     def test_snapshot_excludes_scenario_flags(self, tmp_path, capsys):
         _, graph_path = _tiny_graph_files(tmp_path)
         snap_path = tmp_path / "snap.txt"
@@ -224,6 +242,12 @@ class TestDetect:
         assert report["ranking"][0] == 2
         by_id = {ecu["id"]: ecu for ecu in report["ecus"]}
         assert by_id[2]["flagged"]
+
+    def test_non_finite_evidence_threshold_exits_2(self, fixture_dir, capsys):
+        rc = main(["detect", "--graph", str(fixture_dir / "reference_graph.txt"),
+                   "--evidence-threshold", "inf"])
+        assert rc == 2
+        assert "evidence_threshold must be finite" in capsys.readouterr().err
 
     def test_weight_threshold_out_of_range_exits_2(self, fixture_dir, capsys):
         rc = main(["detect", "--graph", str(fixture_dir / "reference_graph.txt"),

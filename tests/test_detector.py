@@ -11,6 +11,7 @@ from trustconnect.detector import (
     DetectorParams,
     detect,
 )
+from trustconnect.errors import GraphInvariantError, SnapshotMismatchError
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
 from trustconnect.snapshot import (
     AttackSpec,
@@ -19,7 +20,7 @@ from trustconnect.snapshot import (
     constant_ground_truth,
     synthesize_snapshot,
 )
-from trustconnect.trust import TrustParams
+from trustconnect.trust import TrustParams, full_report
 
 PARAMS = TrustParams(k=1.0, alpha=0.1)
 
@@ -45,6 +46,33 @@ class TestDetectorParams:
     def test_rejects_negative_evidence_threshold(self):
         with pytest.raises(ValueError):
             DetectorParams(evidence_threshold=-0.1)
+
+    @pytest.mark.parametrize("field", ["weight_threshold", "evidence_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_thresholds_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DetectorParams(**{field: value})
+
+
+class TestFailsClosed:
+    def test_nan_reading_cannot_evade_detection(self):
+        # A NaN observed value made every weight of node 0 NaN, and
+        # ``nan < threshold`` is False, so the node was never flagged.
+        graph = build([(0, 0.9), (1, 0.9), (2, 0.9)], [(0, 1), (0, 2), (1, 0)])
+        snapshot = Snapshot(
+            observed={0: math.nan, 1: 1.0, 2: 1.0},
+            inferred={(0, 1): 1.0, (0, 2): 1.0, (1, 0): 1.0},
+        )
+        with pytest.raises(SnapshotMismatchError, match="node 0"):
+            detect(graph, snapshot, PARAMS)
+        with pytest.raises(SnapshotMismatchError, match="node 0"):
+            full_report(graph, snapshot, PARAMS)
+
+    def test_unknown_neighbor_is_a_graph_invariant_error(self):
+        graph = build([(0, 0.5)], [(0, 7)])
+        snapshot = Snapshot(observed={0: 1.0}, inferred={(0, 7): 1.0})
+        with pytest.raises(GraphInvariantError, match="unknown node 7"):
+            detect(graph, snapshot, PARAMS)
 
 
 class TestEvidence:

@@ -251,3 +251,42 @@ def test_epsilon_full_precision_round_trip():
     g = DependencyGraph(nodes=(EcuNode(0, "E0", eps),), edges=())
     g2 = from_text(to_text(g))
     assert g2.nodes[0].epsilon == g.nodes[0].epsilon
+
+
+# ---------------------------------------------------------------------------
+# compiled form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_rows_match_out_adjacency(seed):
+    g = generate_random(n=15, edge_probability=0.25, seed=seed)
+    cg = g.compiled
+    assert cg.ids == g.node_ids
+    assert cg.epsilons == tuple(g.epsilons()[i] for i in cg.ids)
+    adjacency = g.out_adjacency()
+    for k, i in enumerate(cg.ids):
+        row = range(cg.offsets[k], cg.offsets[k + 1])
+        assert [cg.ids[cg.dst[e]] for e in row] == adjacency[i]
+        assert [g.edges[e] for e in row] == [(i, j) for j in adjacency[i]]
+    assert cg.offsets[-1] == len(g.edges)
+
+
+def test_compiled_is_built_once_per_graph():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    assert g.compiled is g.compiled
+    assert make_graph(0, []).compiled.offsets == (0,)
+
+
+@pytest.mark.parametrize(
+    "graph, fragment",
+    [
+        (make_graph(2, [(0, 1), (0, 42)]), "edge (0, 42): unknown node 42"),
+        (make_graph(2, [(7, 1)]), "edge (7, 1): unknown node 7"),
+        (DependencyGraph(make_graph(2, []).nodes + (EcuNode(1, "dup", 0.5),), ()),
+         "duplicate node id 1"),
+    ],
+)
+def test_compiling_an_inconsistent_graph_raises(graph, fragment):
+    with pytest.raises(GraphInvariantError) as excinfo:
+        graph.compiled
+    assert fragment in excinfo.value.violations

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from trustconnect.errors import ParseError, SnapshotMismatchError
@@ -12,6 +14,7 @@ from trustconnect.snapshot import (
     Snapshot,
     constant_ground_truth,
     deviations,
+    edge_deviations,
     from_text,
     load_snapshot,
     save_snapshot,
@@ -148,6 +151,39 @@ def test_deviations_require_complete_snapshot():
         deviations(g, missing_obs)
 
 
+@pytest.mark.parametrize(
+    "obs, inf, fragment",
+    [
+        (math.nan, 1.0, "observed value nan for node 0"),
+        (math.inf, 1.0, "observed value inf for node 0"),
+        (1.0, math.nan, r"inferred value nan for edge \(0, 1\)"),
+        (1.0, -math.inf, r"inferred value -inf for edge \(0, 1\)"),
+        (1e308, -1e308, r"deviation on edge \(0, 1\) overflows"),
+    ],
+)
+def test_deviations_reject_non_finite_values(obs, inf, fragment):
+    g, snap = two_node_snapshot(obs, inf)
+    with pytest.raises(SnapshotMismatchError, match=fragment):
+        deviations(g, snap)
+
+
+def test_finite_deviations_whose_sum_overflows_pass():
+    g = DependencyGraph(
+        nodes=(EcuNode(0, "E0", 0.5), EcuNode(1, "E1", 0.5), EcuNode(2, "E2", 0.5)),
+        edges=((0, 1), (0, 2)),
+    )
+    snap = Snapshot(observed={0: 1e308, 1: 0.0, 2: 0.0}, inferred={(0, 1): 0.0, (0, 2): 0.0})
+    assert edge_deviations(g, snap) == [1e308, 1e308]
+
+
+def test_edge_deviations_follow_edge_order(graph):
+    attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
+    snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
+    devs = deviations(graph, snap)
+    assert list(devs) == list(graph.edges)
+    assert edge_deviations(graph, snap) == list(devs.values())
+
+
 def test_deviations_nonnegative(graph):
     attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
     snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
@@ -198,6 +234,15 @@ def test_snapshot_parse_errors():
     with pytest.raises(ParseError) as excinfo:
         from_text("trustconnect-snapshot v1\ninf 0 1\n")
     assert excinfo.value.line_no == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("record", ["obs 1 {}", "inf 0 1 {}"])
+def test_snapshot_rejects_non_finite_values_with_line(record, value):
+    text = "trustconnect-snapshot v1\nobs 0 1.0\n" + record.format(value) + "\n"
+    with pytest.raises(ParseError, match="non-finite") as excinfo:
+        from_text(text, path="snap.txt")
+    assert excinfo.value.line_no == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,13 @@ class TestTrustParams:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
+            TrustParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["k", "alpha", "c0", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values_naming_the_field(self, field, value):
+        kwargs = {"k": 1.0, "alpha": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrustParams(**kwargs)
 
     def test_defaults(self):
@@ -199,6 +207,141 @@ class TestAgainstOracle:
         expected = oracle_fixed_point(graph, snapshot, 1.0, 0.1, 1.0, rounds=200)
         for i in graph.node_ids:
             assert scores[i] == pytest.approx(expected[i], abs=1e-9)
+
+
+def dict_reference(graph, snapshot, params):
+    """The dict-based propagation the compiled core replaced, kept as a reference.
+
+    Returns (trust, btv, converged) with every float computed in the
+    original order, so the compiled core must match it exactly.
+    """
+    epsilons = graph.epsilons()
+    adjacency = graph.out_adjacency()
+
+    def propagate(weights):
+        if params.mode == "single-pass":
+            scores = {}
+            for i in sorted(adjacency):
+                total = 0.0
+                for j in adjacency[i]:
+                    c = scores[j] if j in scores else params.c0
+                    total += epsilons[j] * params.alpha * c + weights[(i, j)]
+                scores[i] = total
+            return scores, True
+        current = {i: params.c0 for i in adjacency}
+        converged = not adjacency
+        for _ in range(params.max_iterations):
+            nxt = {}
+            for i in sorted(adjacency):
+                total = 0.0
+                for j in adjacency[i]:
+                    total += epsilons[j] * params.alpha * current[j] + weights[(i, j)]
+                nxt[i] = total
+            change = max((abs(nxt[i] - current[i]) for i in adjacency), default=0.0)
+            current = nxt
+            if change < params.tolerance:
+                converged = True
+                break
+        return current, converged
+
+    weights = {
+        (i, j): math.exp(-params.k * abs(snapshot.observed[i] - snapshot.inferred[(i, j)]))
+        for i, j in graph.edges
+    }
+    trust, trust_conv = propagate(weights)
+    btv, base_conv = propagate({edge: math.exp(-params.k * 0.0) for edge in graph.edges})
+    return trust, btv, trust_conv and base_conv
+
+
+class TestCompiledCoreMatchesDictReference:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        mode=st.sampled_from(["single-pass", "fixed-point"]),
+        k=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+        alpha=st.sampled_from([0.0, 0.05, 0.2, 0.9]),
+        c0=st.sampled_from([1.0, 0.0, 0.5, -2.0, 3.75]),
+        max_iterations=st.integers(min_value=1, max_value=60),
+    )
+    def test_bitwise_equal(self, seed, mode, k, alpha, c0, max_iterations):
+        graph = generate_random(n=9, edge_probability=0.35, seed=seed)
+        attack = AttackSpec(compromised=frozenset({seed % 9}), mode="both", delta=1.5)
+        snapshot = synthesize_snapshot(
+            graph,
+            ScenarioSpec(
+                ground_truth=constant_ground_truth(graph, 4.0),
+                noise_sigma=0.7,
+                attack=attack,
+                seed=seed,
+            ),
+        )
+        params = TrustParams(
+            k=k, alpha=alpha, c0=c0, mode=mode, max_iterations=max_iterations
+        )
+        trust, btv, converged = dict_reference(graph, snapshot, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            report = full_report(graph, snapshot, params)
+            assert trust_scores(graph, snapshot, params) == trust
+            assert baseline_trust(graph, params) == btv
+        assert report.trust() == trust
+        assert report.btv() == btv
+        assert report.converged is converged
+
+
+class TestBaselineMemo:
+    def test_shared_across_k_and_snapshots(self):
+        graph = generate_random(n=12, edge_probability=0.3, seed=3)
+        for k in (0.0, 0.5, 2.0):
+            baseline_trust(graph, TrustParams(k=k, alpha=0.2, mode="fixed-point"))
+        assert len(graph.compiled.baselines) == 1
+        baseline_trust(graph, TrustParams(k=1.0, alpha=0.3, mode="fixed-point"))
+        baseline_trust(graph, TrustParams(k=1.0, alpha=0.3))
+        assert len(graph.compiled.baselines) == 3
+
+    def test_result_is_not_aliased_by_callers(self):
+        graph = generate_random(n=8, edge_probability=0.4, seed=1)
+        params = TrustParams(k=1.0, alpha=0.2)
+        first = baseline_trust(graph, params)
+        first[0] = -1.0
+        assert baseline_trust(graph, params)[0] != -1.0
+
+    def test_equal_graphs_do_not_share_the_memo(self):
+        a = generate_random(n=6, edge_probability=0.5, seed=2)
+        b = generate_random(n=6, edge_probability=0.5, seed=2)
+        assert a == b
+        baseline_trust(a, TrustParams(k=1.0, alpha=0.1))
+        assert a.compiled is not b.compiled
+        assert b.compiled.baselines == {}
+
+    def test_non_converged_baseline_warns_on_every_call(self):
+        # alpha * epsilon = 2 on a cycle, so the baseline iteration blows up
+        graph = build([(0, 1.0), (1, 1.0)], [(0, 1), (1, 0)])
+        snapshot = exact_snapshot(graph, {0: 1.0, 1: 1.0})
+        params = TrustParams(k=1.0, alpha=2.0, mode="fixed-point")
+        for _ in range(3):
+            with pytest.warns(NonConvergenceWarning, match="baseline"):
+                baseline_trust(graph, params)
+            with pytest.warns(NonConvergenceWarning):
+                report = full_report(graph, snapshot, params)
+            assert report.converged is False
+        assert len(graph.compiled.baselines) == 1
+
+    def test_baseline_alone_can_fail_the_report(self):
+        # T = 0.9 * T' + W on a two-cycle from c0 = 0 changes by 0.9^n * W per
+        # sweep: trust (W = e^-20) settles within 50 sweeps, the unit-weight
+        # baseline memoized by the first call does not.
+        graph = build([(0, 1.0), (1, 1.0)], [(0, 1), (1, 0)])
+        params = TrustParams(k=1.0, alpha=0.9, c0=0.0, mode="fixed-point", max_iterations=50)
+        with pytest.warns(NonConvergenceWarning):
+            baseline_trust(graph, params)
+        snapshot = Snapshot(observed={0: 0.0, 1: 0.0}, inferred={(0, 1): 20.0, (1, 0): 20.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergenceWarning)
+            trust_scores(graph, snapshot, params)
+        for _ in range(2):
+            with pytest.warns(NonConvergenceWarning):
+                report = full_report(graph, snapshot, params)
+            assert report.converged is False
 
 
 class TestBaseline:
