@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .detector import DetectorParams, detect
@@ -24,15 +25,9 @@ from .experiment import (
     reference_fixture,
     reference_sweep_spec,
     run_sweep,
-    sweep_spec_to_text,
+    save_sweep_spec,
 )
-from .graph import (
-    generate_random,
-    load_graph,
-    parse_epsilon_dist,
-    save_graph,
-    to_text as graph_to_text,
-)
+from .graph import generate_random, load_graph, parse_epsilon_dist, save_graph
 from .snapshot import (
     ATTACK_MODES,
     AttackSpec,
@@ -40,10 +35,10 @@ from .snapshot import (
     constant_ground_truth,
     load_scenario,
     load_snapshot,
-    scenario_to_text,
+    parse_ids,
+    save_scenario,
     synthesize_snapshot,
 )
-from .svgchart import grouped_bar_svg
 from .trust import MODES, TrustParams, full_report
 
 _SCENARIO_FLAG_NAMES = (
@@ -82,49 +77,38 @@ def _build_scenario(args, graph) -> ScenarioSpec:
     """
     inline = _inline_scenario_flags(args)
     if args.scenario_file is not None:
-        base = load_scenario(args.scenario_file)
+        scenario = load_scenario(args.scenario_file)
         if inline:
             flags = ", ".join("--" + name.replace("_", "-") for name in inline)
             print(
                 f"warning: inline scenario flags override {args.scenario_file}: {flags}",
                 file=sys.stderr,
             )
-        truth = dict(base.ground_truth)
-        noise_sigma = base.noise_sigma
-        attack = base.attack
-        seed = base.seed
     else:
-        truth = constant_ground_truth(graph, 0.0)
-        noise_sigma = 0.0
-        attack = None
-        seed = _resolve_seed(args)
+        scenario = ScenarioSpec(
+            ground_truth=constant_ground_truth(graph, 0.0), seed=_resolve_seed(args)
+        )
 
-    if args.truth_constant is not None:
-        truth = constant_ground_truth(graph, args.truth_constant)
-    if args.noise_sigma is not None:
-        noise_sigma = args.noise_sigma
-    if args.scenario_seed is not None:
-        seed = args.scenario_seed
-
+    attack = scenario.attack
     if args.attack_nodes is not None:
-        compromised = frozenset(int(part) for part in args.attack_nodes.split(","))
-        attack = AttackSpec(
-            compromised=compromised,
-            mode=args.attack_mode if args.attack_mode is not None else "self-injection",
-            delta=args.delta if args.delta is not None else 1.0,
+        attack = AttackSpec(compromised=parse_ids(args.attack_nodes))
+    if args.attack_mode is not None or args.delta is not None:
+        if attack is None:
+            raise ValueError(
+                "--attack-mode/--delta need --attack-nodes or a scenario file with an attack"
+            )
+        attack = replace(
+            attack,
+            mode=args.attack_mode or attack.mode,
+            delta=attack.delta if args.delta is None else args.delta,
         )
-    elif attack is not None and (args.attack_mode is not None or args.delta is not None):
-        attack = AttackSpec(
-            compromised=attack.compromised,
-            mode=args.attack_mode if args.attack_mode is not None else attack.mode,
-            delta=args.delta if args.delta is not None else attack.delta,
-        )
-    elif args.attack_mode is not None or args.delta is not None:
-        raise ValueError(
-            "--attack-mode/--delta need --attack-nodes or a scenario file with an attack"
-        )
-    return ScenarioSpec(
-        ground_truth=truth, noise_sigma=noise_sigma, attack=attack, seed=seed
+    return replace(
+        scenario,
+        ground_truth=scenario.ground_truth if args.truth_constant is None
+        else constant_ground_truth(graph, args.truth_constant),
+        noise_sigma=scenario.noise_sigma if args.noise_sigma is None else args.noise_sigma,
+        seed=scenario.seed if args.scenario_seed is None else args.scenario_seed,
+        attack=attack,
     )
 
 
@@ -172,16 +156,7 @@ def cmd_eval(args) -> int:
     report = full_report(graph, snapshot, params)
     _emit(_render_report(report, args.format), args.out)
     if args.svg is not None:
-        chart = grouped_bar_svg(
-            f"k={args.k:g} alpha={args.alpha:g}",
-            [e.label for e in report.entries],
-            [
-                ("btv", [e.btv for e in report.entries]),
-                ("trust", [e.trust for e in report.entries]),
-                ("eatv", [e.eatv for e in report.entries]),
-            ],
-        )
-        Path(args.svg).write_text(chart, encoding="utf-8", newline="\n")
+        Path(args.svg).write_text(report.to_svg(), encoding="utf-8", newline="\n")
     return 0
 
 
@@ -196,7 +171,8 @@ def cmd_sweep(args) -> int:
 def cmd_detect(args) -> int:
     graph = load_graph(args.graph)
     snapshot = _resolve_snapshot(args, graph)
-    trust_params = TrustParams(k=args.k, alpha=args.alpha)
+    # contradiction evidence reads only the weight decay k
+    trust_params = TrustParams(k=args.k, alpha=0.0)
     det_params = DetectorParams(
         weight_threshold=args.weight_threshold,
         evidence_threshold=args.evidence_threshold,
@@ -215,11 +191,9 @@ def cmd_fixture(args) -> int:
     graph_path = out_dir / "reference_graph.txt"
     scenario_path = out_dir / "reference_scenario.txt"
     sweep_path = out_dir / "reference_sweep.txt"
-    graph_path.write_text(graph_to_text(graph), encoding="utf-8", newline="\n")
-    scenario_path.write_text(scenario_to_text(scenario), encoding="utf-8", newline="\n")
-    sweep_path.write_text(
-        sweep_spec_to_text(reference_sweep_spec()), encoding="utf-8", newline="\n"
-    )
+    save_graph(graph, graph_path)
+    save_scenario(scenario, scenario_path)
+    save_sweep_spec(reference_sweep_spec(), sweep_path)
     for path in (graph_path, scenario_path, sweep_path):
         print(f"wrote {path}")
     return 0
@@ -318,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, metavar="FILE", help="graph file")
     _add_scenario_flags(p)
     p.add_argument("--k", type=float, default=1.0, help="weight decay (default 1.0)")
-    p.add_argument(
-        "--alpha", type=float, default=0.1, help="unused by evidence, kept for parity"
-    )
     p.add_argument(
         "--weight-threshold", type=float, default=0.5,
         help="edge weight below this is a contradiction (default 0.5)",

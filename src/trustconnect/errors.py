@@ -1,6 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of its text formats."""
 
 import math
+from contextlib import AbstractContextManager
 
 
 class TrustConnectError(Exception):
@@ -42,3 +43,62 @@ def require_finite(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def finite_float(field: str) -> float:
+    """float(field), rejecting NaN and the infinities."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {field!r}")
+    return value
+
+
+class RecordReader(AbstractContextManager):
+    """The records of a line-oriented text document, as field lists.
+
+    Line 1 must be ``header``; ``#`` starts a comment. ``usage`` maps each
+    record kind to its fields, e.g. ``{"edge": "<i> <j>"}``, and a
+    bracketed field is optional. Kinds in ``single`` may occur at most
+    once. Use the reader as a context manager around the loop: a
+    ValueError raised while the caller converts a record becomes a
+    ParseError at that record's line.
+    """
+
+    def __init__(self, text: str, path: str | None, header: str,
+                 usage: dict[str, str], single=()):
+        self.lines = text.splitlines()
+        if not self.lines or self.lines[0].strip() != header:
+            raise ParseError(f"missing header {header!r}", path, 1)
+        self.path = path
+        self.usage = usage
+        self.single = frozenset(single)
+        self.line_no = 1
+        # field count of each kind with all optional fields, the kind included
+        self.counts = {kind: len(fields.split()) + 1 for kind, fields in usage.items()}
+
+    def __iter__(self):
+        counts, single, seen = self.counts, self.single, set()
+        for line_no, raw in enumerate(self.lines[1:], start=2):
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            fields = raw.split()
+            if not fields:
+                continue
+            self.line_no = line_no
+            kind = fields[0]
+            if kind in single:
+                if kind in seen:
+                    raise ParseError(f"duplicate {kind} record", self.path, line_no)
+                seen.add(kind)
+            if counts.get(kind) != len(fields):
+                # off the common path: an unknown kind, or optional fields omitted
+                usage = self.usage.get(kind)
+                if usage is None:
+                    raise ParseError(f"unknown record type {kind!r}", self.path, line_no)
+                if not counts[kind] - usage.count("[") <= len(fields) < counts[kind]:
+                    raise ParseError(f"expected: {kind} {usage}", self.path, line_no)
+            yield fields
+
+    def __exit__(self, exc_type, exc, traceback):
+        if isinstance(exc, ValueError):
+            raise ParseError(str(exc), self.path, self.line_no) from exc

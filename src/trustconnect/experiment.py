@@ -17,7 +17,7 @@ Sweep spec file format (version header required, `#` starts a comment):
 
     trustconnect-sweep v1
     graph_file <path>                      # exactly one graph source
-    graph_random n=<int> p=<float> seed=<int> [epsilon=<spec>]
+    graph_random n=<int> p=<float> [seed=<int>] [epsilon=<spec>]
     truth_constant <value>
     truth <id> <value>                     # per-node override, repeatable
     noise_sigma <value>
@@ -33,12 +33,13 @@ A relative graph_file is resolved against the spec file's directory.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, RecordReader, finite_float, require_finite
 from .graph import (
     DependencyGraph,
     EpsilonDistribution,
@@ -50,17 +51,33 @@ from .graph import (
     to_text as graph_to_text,
 )
 from .snapshot import (
+    SCENARIO_RECORDS,
     AttackSpec,
     ScenarioSpec,
     Snapshot,
+    attack_from_fields,
+    attack_to_text,
+    check_ground_truth,
+    check_noise_sigma,
     edge_deviations,
     scenario_from_text,
     synthesize_snapshot,
 )
-from .svgchart import grouped_bar_svg
-from .trust import MODES, TrustParams, TrustReport, report_from_deviations
+from .trust import TrustParams, TrustReport, check_mode, report_from_deviations
 
 SWEEP_HEADER = "trustconnect-sweep v1"
+SWEEP_RECORDS = {
+    "graph_file": "<path>",
+    "graph_random": "n=<int> p=<float> [seed=<int>] [epsilon=<spec>]",
+    "truth_constant": "<value>",
+    "truth": "<id> <value>",
+    "noise_sigma": "<value>",
+    "scenario_seed": "<int>",
+    "attack": SCENARIO_RECORDS["attack"],
+    "k_values": "<v,v,...>",
+    "alpha_values": "<v,v,...>",
+    "mode": "<single-pass|fixed-point>",
+}
 MANIFEST_HEADER = "trustconnect-sweep-manifest v1"
 
 DEFAULT_K_VALUES = (0.1, 0.5, 1.0, 2.0)
@@ -81,6 +98,8 @@ class RandomGraphSpec:
 def _check_grid_axis(name, values):
     if not values:
         raise ValueError(f"{name} must be nonempty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got {list(values)}")
     if any(v < 0 for v in values):
         raise ValueError(f"{name} must be >= 0, got {list(values)}")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -113,12 +132,12 @@ class SweepSpec:
         object.__setattr__(self, "truth_overrides", tuple(self.truth_overrides))
         if (self.graph_file is None) == (self.graph_random is None):
             raise ValueError("exactly one of graph_file and graph_random is required")
+        require_finite(self, "truth_constant", "noise_sigma")
+        check_ground_truth(self.truth_overrides)
+        check_noise_sigma(self.noise_sigma)
         _check_grid_axis("k_values", self.k_values)
         _check_grid_axis("alpha_values", self.alpha_values)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        check_mode(self.mode)
 
 
 def resolve_graph(spec: SweepSpec) -> DependencyGraph:
@@ -232,95 +251,74 @@ def sweep_spec_to_text(spec: SweepSpec) -> str:
     lines.append(f"noise_sigma {spec.noise_sigma!r}")
     lines.append(f"scenario_seed {spec.scenario_seed}")
     if spec.attack is not None:
-        ids = ",".join(str(i) for i in sorted(spec.attack.compromised))
-        lines.append(f"attack {spec.attack.mode} {spec.attack.delta!r} {ids}")
+        lines.append(attack_to_text(spec.attack))
     lines.append(f"k_values {_format_values(spec.k_values)}")
     lines.append(f"alpha_values {_format_values(spec.alpha_values)}")
     lines.append(f"mode {spec.mode}")
     return "\n".join(lines) + "\n"
 
 
+def _random_graph_spec(fields: list[str]) -> RandomGraphSpec:
+    params = dict(part.partition("=")[::2] for part in fields[1:])
+    # a repeated key shrinks the dict; n and p are required
+    if (len(params) < len(fields) - 1
+            or not {"n", "p"} <= params.keys() <= {"n", "p", "seed", "epsilon"}):
+        raise ValueError(f"expected: graph_random {SWEEP_RECORDS['graph_random']}")
+    return RandomGraphSpec(
+        n=int(params["n"]),
+        edge_probability=finite_float(params["p"]),
+        seed=int(params.get("seed", "0")),
+        epsilon=parse_epsilon_dist(params.get("epsilon", "uniform")),
+    )
+
+
 def parse_sweep_spec(text: str, path: str | None = None) -> SweepSpec:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SWEEP_HEADER:
-        raise ParseError(f"missing header {SWEEP_HEADER!r}", path=path, line_no=1)
-    fields_by_kind = {}
+    """Parse a sweep spec, checking each record at its own line.
+
+    Only "exactly one graph source" spans records, so its ParseError
+    names the file but no line.
+    """
+    kwargs = {}
     overrides = []
-    seen = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
+    single = set(SWEEP_RECORDS) - {"truth"}
+    with RecordReader(text, path, SWEEP_HEADER, SWEEP_RECORDS, single) as records:
+        for fields in records:
+            kind = fields[0]
             if kind == "truth":
-                if len(fields) != 3:
-                    raise ValueError("expected: truth <id> <value>")
-                overrides.append((int(fields[1]), float(fields[2])))
-                continue
-            if kind in seen:
-                raise ValueError(f"duplicate {kind} record")
-            seen.add(kind)
-            fields_by_kind[kind] = fields
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line_no=line_no) from exc
-    kwargs = {"truth_overrides": tuple(overrides)}
-    try:
-        for kind, fields in fields_by_kind.items():
-            if kind == "graph_file":
-                if len(fields) != 2:
-                    raise ValueError("expected: graph_file <path>")
+                overrides.append((int(fields[1]), finite_float(fields[2])))
+            elif kind == "graph_file":
                 graph_path = fields[1]
                 if path is not None and not os.path.isabs(graph_path):
                     graph_path = str(Path(path).parent / graph_path)
-                kwargs["graph_file"] = graph_path
+                kwargs[kind] = graph_path
             elif kind == "graph_random":
-                params = dict(part.split("=", 1) for part in fields[1:])
-                unknown = set(params) - {"n", "p", "seed", "epsilon"}
-                if unknown:
-                    raise ValueError(f"unknown graph_random keys {sorted(unknown)}")
-                kwargs["graph_random"] = RandomGraphSpec(
-                    n=int(params["n"]),
-                    edge_probability=float(params["p"]),
-                    seed=int(params.get("seed", "0")),
-                    epsilon=parse_epsilon_dist(params.get("epsilon", "uniform")),
-                )
-            elif kind == "truth_constant":
-                kwargs["truth_constant"] = float(fields[1])
-            elif kind == "noise_sigma":
-                kwargs["noise_sigma"] = float(fields[1])
-            elif kind == "scenario_seed":
-                kwargs["scenario_seed"] = int(fields[1])
+                kwargs[kind] = _random_graph_spec(fields)
             elif kind == "attack":
-                if len(fields) != 4:
-                    raise ValueError("expected: attack <mode> <delta> <id,id,...>")
-                kwargs["attack"] = AttackSpec(
-                    compromised=frozenset(int(p) for p in fields[3].split(",")),
-                    mode=fields[1],
-                    delta=float(fields[2]),
-                )
-            elif kind == "k_values":
-                kwargs["k_values"] = tuple(float(p) for p in fields[1].split(","))
-            elif kind == "alpha_values":
-                kwargs["alpha_values"] = tuple(float(p) for p in fields[1].split(","))
+                kwargs[kind] = attack_from_fields(fields)
+            elif kind in ("k_values", "alpha_values"):
+                values = tuple(finite_float(v) for v in fields[1].split(","))
+                _check_grid_axis(kind, values)
+                kwargs[kind] = values
             elif kind == "mode":
-                kwargs["mode"] = fields[1]
+                kwargs[kind] = check_mode(fields[1])
+            elif kind == "scenario_seed":
+                kwargs[kind] = int(fields[1])
+            elif kind == "noise_sigma":
+                kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
             else:
-                raise ValueError(f"unknown record type {kind!r}")
-        return SweepSpec(**kwargs)
+                kwargs[kind] = finite_float(fields[1])
+    try:
+        return SweepSpec(truth_overrides=tuple(overrides), **kwargs)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 
 
 def load_sweep_spec(path) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_sweep_spec(handle.read(), path=str(path))
+    return parse_sweep_spec(Path(path).read_text(encoding="utf-8"), path=str(path))
 
 
 def save_sweep_spec(spec: SweepSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(sweep_spec_to_text(spec))
+    Path(path).write_text(sweep_spec_to_text(spec), encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +462,13 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
         f"graph_sha256 {result.graph_sha256}",
         f"mode {result.mode}",
     ]
-    labels = [node.label for node in result.graph.nodes]
     for k, alpha in result.cells():
         report = result.report(k, alpha)
         stem = _cell_stem(k, alpha)
         csv_path = out_dir / f"{stem}.csv"
         svg_path = out_dir / f"{stem}.svg"
         csv_path.write_text(report.to_csv(), encoding="utf-8", newline="\n")
-        series = [
-            ("btv", [e.btv for e in report.entries]),
-            ("trust", [e.trust for e in report.entries]),
-            ("eatv", [e.eatv for e in report.entries]),
-        ]
-        svg_path.write_text(
-            grouped_bar_svg(f"k={k:g} alpha={alpha:g}", labels, series),
-            encoding="utf-8", newline="\n",
-        )
+        svg_path.write_text(report.to_svg(), encoding="utf-8", newline="\n")
         written.extend([csv_path, svg_path])
         manifest_lines.append(
             f"cell k={k:g} alpha={alpha:g} csv={csv_path.name} svg={svg_path.name}"

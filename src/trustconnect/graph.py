@@ -22,10 +22,12 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
-from .errors import GraphInvariantError, ParseError
+from .errors import GraphInvariantError, RecordReader
 
 GRAPH_HEADER = "trustconnect-graph v1"
+GRAPH_RECORDS = {"node": "<id> <label> <epsilon>", "edge": "<i> <j>"}
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ def validate(graph: DependencyGraph) -> list[str]:
         if node.id in seen_ids:
             violations.append(f"duplicate node id {node.id}")
         seen_ids.add(node.id)
-        if not node.label or any(c.isspace() for c in node.label) or "," in node.label:
+        # split() != [label] exactly when the label is empty or has whitespace
+        if node.label.split() != [node.label] or "," in node.label or "#" in node.label:
             violations.append(f"node {node.id}: invalid label {node.label!r}")
         if not 0.0 <= node.epsilon <= 1.0:
             violations.append(f"node {node.id}: epsilon out of range ({node.epsilon!r})")
@@ -228,13 +231,6 @@ def generate_random(
     return DependencyGraph(nodes=nodes, edges=tuple(edges))
 
 
-def out_neighbors(graph: DependencyGraph, i: int) -> list[int]:
-    """Ascending list of all j with an edge (i, j)."""
-    if i not in set(graph.node_ids):
-        raise ValueError(f"unknown node id {i}")
-    return sorted(j for (a, j) in graph.edges if a == i)
-
-
 def to_text(graph: DependencyGraph) -> str:
     """Canonical text serialization (byte-stable for equal graphs)."""
     lines = [GRAPH_HEADER]
@@ -247,30 +243,14 @@ def to_text(graph: DependencyGraph) -> str:
 
 def from_text(text: str, path: str | None = None) -> DependencyGraph:
     """Parse a graph document; raises ParseError / GraphInvariantError."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != GRAPH_HEADER:
-        raise ParseError(f"missing header {GRAPH_HEADER!r}", path=path, line_no=1)
     nodes: list[EcuNode] = []
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "node":
-                if len(fields) != 4:
-                    raise ValueError("expected: node <id> <label> <epsilon>")
+    with RecordReader(text, path, GRAPH_HEADER, GRAPH_RECORDS) as records:
+        for fields in records:
+            if fields[0] == "node":
                 nodes.append(EcuNode(int(fields[1]), fields[2], float(fields[3])))
-            elif kind == "edge":
-                if len(fields) != 3:
-                    raise ValueError("expected: edge <i> <j>")
-                edges.append((int(fields[1]), int(fields[2])))
             else:
-                raise ValueError(f"unknown record type {kind!r}")
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line_no=line_no) from exc
+                edges.append((int(fields[1]), int(fields[2])))
     graph = DependencyGraph(nodes=tuple(nodes), edges=tuple(edges))
     violations = validate(graph)
     if violations:
@@ -279,10 +259,8 @@ def from_text(text: str, path: str | None = None) -> DependencyGraph:
 
 
 def save_graph(graph: DependencyGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(to_text(graph))
+    Path(path).write_text(to_text(graph), encoding="utf-8", newline="\n")
 
 
 def load_graph(path) -> DependencyGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_text(handle.read(), path=str(path))
+    return from_text(Path(path).read_text(encoding="utf-8"), path=str(path))

@@ -34,12 +34,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import ParseError, SnapshotMismatchError
+from .errors import RecordReader, SnapshotMismatchError, finite_float, require_finite
 from .graph import DependencyGraph
 
 SNAPSHOT_HEADER = "trustconnect-snapshot v1"
+SNAPSHOT_RECORDS = {"obs": "<i> <value>", "inf": "<i> <j> <value>"}
 SCENARIO_HEADER = "trustconnect-scenario v1"
+SCENARIO_RECORDS = {
+    "truth": "<id> <value>",
+    "noise_sigma": "<value>",
+    "seed": "<int>",
+    "attack": "<mode> <delta> <id,id,...>",
+}
 
 ATTACK_MODES = ("self-injection", "inference-corruption", "both")
 
@@ -68,8 +76,11 @@ class AttackSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "compromised", frozenset(self.compromised))
+        if not self.compromised:
+            raise ValueError("compromised must name at least one node")
         if self.mode not in ATTACK_MODES:
             raise ValueError(f"mode must be one of {ATTACK_MODES}, got {self.mode!r}")
+        require_finite(self, "delta")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
@@ -92,8 +103,39 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        require_finite(self, "noise_sigma")
+        check_noise_sigma(self.noise_sigma)
+        check_ground_truth(self.ground_truth.items())
+
+
+def check_noise_sigma(value: float) -> float:
+    if value < 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {value}")
+    return value
+
+
+def check_ground_truth(items) -> None:
+    """Raise ValueError naming the first node whose (id, value) truth is not finite."""
+    for node_id, value in items:
+        if not math.isfinite(value):
+            raise ValueError(f"ground truth of node {node_id} must be finite, got {value!r}")
+
+
+def parse_ids(text: str) -> frozenset[int]:
+    """A comma-separated node id list, as in ``--attack-nodes`` and attack records."""
+    return frozenset(int(part) for part in text.split(","))
+
+
+def attack_from_fields(fields: list[str]) -> AttackSpec:
+    """The AttackSpec of an ``attack <mode> <delta> <id,id,...>`` record."""
+    return AttackSpec(
+        compromised=parse_ids(fields[3]), mode=fields[1], delta=finite_float(fields[2])
+    )
+
+
+def attack_to_text(attack: AttackSpec) -> str:
+    ids = ",".join(str(i) for i in sorted(attack.compromised))
+    return f"attack {attack.mode} {attack.delta!r} {ids}"
 
 
 def constant_ground_truth(graph: DependencyGraph, value: float) -> dict[int, float]:
@@ -206,49 +248,24 @@ def to_text(snapshot: Snapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite(field: str) -> float:
-    value = float(field)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {field!r}")
-    return value
-
-
 def from_text(text: str, path: str | None = None) -> Snapshot:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SNAPSHOT_HEADER:
-        raise ParseError(f"missing header {SNAPSHOT_HEADER!r}", path=path, line_no=1)
     observed: dict[int, float] = {}
     inferred: dict[tuple[int, int], float] = {}
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "obs":
-                if len(fields) != 3:
-                    raise ValueError("expected: obs <i> <value>")
-                observed[int(fields[1])] = _finite(fields[2])
-            elif kind == "inf":
-                if len(fields) != 4:
-                    raise ValueError("expected: inf <i> <j> <value>")
-                inferred[(int(fields[1]), int(fields[2]))] = _finite(fields[3])
+    with RecordReader(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS) as records:
+        for fields in records:
+            if fields[0] == "obs":
+                observed[int(fields[1])] = finite_float(fields[2])
             else:
-                raise ValueError(f"unknown record type {kind!r}")
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line_no=line_no) from exc
+                inferred[(int(fields[1]), int(fields[2]))] = finite_float(fields[3])
     return Snapshot(observed=observed, inferred=inferred)
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(to_text(snapshot))
+    Path(path).write_text(to_text(snapshot), encoding="utf-8", newline="\n")
 
 
 def load_snapshot(path) -> Snapshot:
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_text(handle.read(), path=str(path))
+    return from_text(Path(path).read_text(encoding="utf-8"), path=str(path))
 
 
 def scenario_to_text(scenario: ScenarioSpec) -> str:
@@ -258,62 +275,31 @@ def scenario_to_text(scenario: ScenarioSpec) -> str:
     lines.append(f"noise_sigma {scenario.noise_sigma!r}")
     lines.append(f"seed {scenario.seed}")
     if scenario.attack is not None:
-        ids = ",".join(str(i) for i in sorted(scenario.attack.compromised))
-        lines.append(f"attack {scenario.attack.mode} {scenario.attack.delta!r} {ids}")
+        lines.append(attack_to_text(scenario.attack))
     return "\n".join(lines) + "\n"
 
 
 def scenario_from_text(text: str, path: str | None = None) -> ScenarioSpec:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SCENARIO_HEADER:
-        raise ParseError(f"missing header {SCENARIO_HEADER!r}", path=path, line_no=1)
     truth: dict[int, float] = {}
-    noise_sigma = 0.0
-    seed = 0
-    attack: AttackSpec | None = None
-    seen: set[str] = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
+    kwargs = {}
+    single = set(SCENARIO_RECORDS) - {"truth"}
+    with RecordReader(text, path, SCENARIO_HEADER, SCENARIO_RECORDS, single) as records:
+        for fields in records:
+            kind = fields[0]
             if kind == "truth":
-                if len(fields) != 3:
-                    raise ValueError("expected: truth <id> <value>")
-                truth[int(fields[1])] = float(fields[2])
-                continue
-            if kind in seen:
-                raise ValueError(f"duplicate {kind} record")
-            seen.add(kind)
-            if kind == "noise_sigma":
-                if len(fields) != 2:
-                    raise ValueError("expected: noise_sigma <value>")
-                noise_sigma = float(fields[1])
+                truth[int(fields[1])] = finite_float(fields[2])
+            elif kind == "noise_sigma":
+                kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
             elif kind == "seed":
-                if len(fields) != 2:
-                    raise ValueError("expected: seed <int>")
-                seed = int(fields[1])
-            elif kind == "attack":
-                if len(fields) != 4:
-                    raise ValueError("expected: attack <mode> <delta> <id,id,...>")
-                compromised = frozenset(int(p) for p in fields[3].split(","))
-                attack = AttackSpec(
-                    compromised=compromised, mode=fields[1], delta=float(fields[2])
-                )
+                kwargs[kind] = int(fields[1])
             else:
-                raise ValueError(f"unknown record type {kind!r}")
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line_no=line_no) from exc
-    return ScenarioSpec(ground_truth=truth, noise_sigma=noise_sigma, attack=attack, seed=seed)
+                kwargs[kind] = attack_from_fields(fields)
+    return ScenarioSpec(ground_truth=truth, **kwargs)
 
 
 def save_scenario(scenario: ScenarioSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(scenario_to_text(scenario))
+    Path(path).write_text(scenario_to_text(scenario), encoding="utf-8", newline="\n")
 
 
 def load_scenario(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return scenario_from_text(handle.read(), path=str(path))
+    return scenario_from_text(Path(path).read_text(encoding="utf-8"), path=str(path))

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from .errors import require_finite
 from .graph import CompiledGraph, DependencyGraph
 from .snapshot import Snapshot, deviations, edge_deviations
+from .svgchart import grouped_bar_svg
 
 REPORT_HEADER = "trustconnect-report v1"
 CSV_HEADER = "id,label,epsilon,btv,trust,eatv"
@@ -54,6 +55,12 @@ MODES = ("single-pass", "fixed-point")
 
 class NonConvergenceWarning(UserWarning):
     """Fixed-point evaluation stopped at max_iterations without settling."""
+
+
+def check_mode(mode: str) -> str:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,7 @@ class TrustParams:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tolerance <= 0:
@@ -252,6 +258,15 @@ class TrustReport:
                 f"{e.id},{e.label},{e.epsilon!r},{e.btv!r},{e.trust!r},{e.eatv!r}"
             )
         return "\n".join(lines) + "\n"
+
+    def to_svg(self) -> str:
+        """Grouped-bar chart of BTV, trust and EATV per ECU."""
+        entries = self.entries
+        return grouped_bar_svg(
+            f"k={self.params.k:g} alpha={self.params.alpha:g}",
+            [e.label for e in entries],
+            [(name, [getattr(e, name) for e in entries]) for name in ("btv", "trust", "eatv")],
+        )
 
     def to_json(self) -> str:
         p = self.params

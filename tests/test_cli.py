@@ -138,6 +138,12 @@ class TestEval:
         assert rc == 2
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
+    def test_non_finite_delta_exits_2_naming_it(self, fixture_dir, capsys):
+        rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                   "--truth-constant", "1", "--attack-nodes", "2", "--delta", "nan"])
+        assert rc == 2
+        assert "delta must be finite, got nan" in capsys.readouterr().err
+
     def test_non_finite_snapshot_value_exits_2_with_line(self, tmp_path, capsys):
         _, graph_path = _tiny_graph_files(tmp_path)
         snap_path = tmp_path / "nan.txt"
@@ -222,6 +228,43 @@ class TestSweep:
         rc = main(["sweep", str(tmp_path / "absent.txt"),
                    "--output-dir", str(tmp_path)])
         assert rc == 1
+
+
+GRAPH_FILE = "graph_file reference_graph.txt"
+
+
+@pytest.mark.parametrize(
+    "name, lines, line_no",
+    [
+        ("reference_sweep.txt", [GRAPH_FILE, "truth_constant"], 3),
+        ("reference_sweep.txt", [GRAPH_FILE, "k_values"], 3),
+        ("reference_sweep.txt", ["graph_random n=5"], 2),
+        ("reference_sweep.txt", [GRAPH_FILE, "mode fixed-point extra junk"], 3),
+        ("reference_sweep.txt", [GRAPH_FILE, "noise_sigma 0.0 1.0"], 3),
+        ("reference_sweep.txt", [GRAPH_FILE, "k_values 0.1,0.5 9"], 3),
+        ("reference_sweep.txt", [GRAPH_FILE, "k_values 1,0.5"], 3),
+        ("reference_sweep.txt", [GRAPH_FILE, "noise_sigma nan"], 3),
+        ("reference_scenario.txt", ["truth 0 nan"], 2),
+    ],
+    ids=lambda value: value[-1] if isinstance(value, list) else None,
+)
+def test_malformed_input_file_exits_2_naming_file_and_line(
+    fixture_dir, tmp_path, capsys, name, lines, line_no
+):
+    """An uncaught exception would escape main() and fail the test, so a
+    returned 2 also means no traceback was printed."""
+    path = fixture_dir / name
+    header, *rest = path.read_text().splitlines()
+    # a scenario keeps its other records, so only the bad line is wrong
+    body = rest[1:] if name == "reference_scenario.txt" else []
+    path.write_text("\n".join([header, *lines, *body]) + "\n")
+    if name == "reference_sweep.txt":
+        argv = ["sweep", str(path), "--output-dir", str(tmp_path)]
+    else:
+        argv = ["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                "--scenario-file", str(path)]
+    assert main(argv) == 2
+    assert f"error: {path}:{line_no}: " in capsys.readouterr().err
 
 
 class TestDetect:

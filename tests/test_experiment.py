@@ -1,6 +1,7 @@
 """Sweep, fixture, gap-ordering, and figure-emission tests."""
 
 import hashlib
+import math
 from importlib import resources
 
 import pytest
@@ -70,6 +71,11 @@ class TestSweepSpecValidation:
             {"alpha_values": (-0.1, 0.2)},
             {"mode": "iterative"},
             {"noise_sigma": -1.0},
+            {"noise_sigma": math.nan},
+            {"truth_constant": math.inf},
+            {"truth_overrides": ((0, 1.0), (1, -math.inf))},
+            {"k_values": (0.1, math.nan)},
+            {"alpha_values": (math.inf,)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

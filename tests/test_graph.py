@@ -12,7 +12,6 @@ from trustconnect.graph import (
     from_text,
     generate_random,
     load_graph,
-    out_neighbors,
     parse_epsilon_dist,
     save_graph,
     to_text,
@@ -53,6 +52,11 @@ def test_validate_dangling_edge():
         (lambda g: DependencyGraph(g.nodes + (EcuNode(9, "E9", -0.1),), g.edges), "epsilon out of range"),
         (lambda g: DependencyGraph(g.nodes + (EcuNode(-1, "neg", 0.5),), g.edges), "negative id"),
         (lambda g: DependencyGraph(g.nodes + (EcuNode(9, "bad label", 0.5),), g.edges), "invalid label"),
+        pytest.param(
+            lambda g: DependencyGraph(g.nodes + (EcuNode(9, "a#b", 0.5),), g.edges),
+            "invalid label",
+            id="comment-char-in-label",
+        ),
         (lambda g: DependencyGraph(g.nodes, g.edges + ((1, 1),)), "self-loop at node 1"),
         (lambda g: DependencyGraph(g.nodes, g.edges + ((0, 1),)), "duplicate edge (0, 1)"),
         (lambda g: DependencyGraph(g.nodes, g.edges + ((0, 42),)), "unknown node 42"),
@@ -165,31 +169,6 @@ def test_parse_epsilon_dist():
         parse_epsilon_dist("gauss:0,1")
     with pytest.raises(ValueError):
         parse_epsilon_dist("uniform:0.5,1.5")
-
-
-# ---------------------------------------------------------------------------
-# out_neighbors
-# ---------------------------------------------------------------------------
-
-def test_out_neighbors_empty():
-    g = make_graph(3, [(1, 0)])
-    assert out_neighbors(g, 0) == []
-
-
-def test_out_neighbors_sorted():
-    g = make_graph(18, [(2, 5), (2, 17), (2, 1), (2, 11), (2, 4), (2, 13)])
-    assert out_neighbors(g, 2) == [1, 4, 5, 11, 13, 17]
-
-
-def test_out_neighbors_complete_triangle():
-    g = make_graph(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])
-    assert out_neighbors(g, 0) == [1, 2]
-
-
-def test_out_neighbors_unknown_node():
-    g = make_graph(3, [])
-    with pytest.raises(ValueError):
-        out_neighbors(g, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,24 @@ def test_attack_spec_validation():
         AttackSpec(compromised={1}, mode="teleport", delta=1.0)
     with pytest.raises(ValueError):
         AttackSpec(compromised={1}, delta=-0.5)
+    with pytest.raises(ValueError, match="at least one node"):
+        AttackSpec(compromised=set())
     with pytest.raises(ValueError):
         ScenarioSpec(ground_truth={}, noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: AttackSpec(compromised={1}, delta=v), "delta"),
+        (lambda v: ScenarioSpec(ground_truth={0: 1.0}, noise_sigma=v), "noise_sigma"),
+        (lambda v: ScenarioSpec(ground_truth={0: 1.0, 3: v}), "ground truth of node 3"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scenario_fields_reject_non_finite_by_name(build, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +305,20 @@ def test_scenario_parse_errors():
         scenario_from_text("trustconnect-scenario v1\nattack bogus-mode 1.0 0\n")
     with pytest.raises(ParseError):
         scenario_from_text("trustconnect-scenario v1\nwhatever 1\n")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("truth 0 nan", "non-finite value 'nan'"),
+        ("noise_sigma inf", "non-finite value 'inf'"),
+        ("noise_sigma -0.5", "noise_sigma must be >= 0, got -0.5"),
+        ("attack both -inf 1", "non-finite value '-inf'"),
+        ("seed 1 2", "expected: seed <int>"),
+    ],
+)
+def test_scenario_field_errors_carry_their_line(record, message):
+    text = f"trustconnect-scenario v1\ntruth 1 1.0\n{record}\n"
+    with pytest.raises(ParseError) as excinfo:
+        scenario_from_text(text, path="sc.txt")
+    assert str(excinfo.value) == f"sc.txt:3: {message}"
