@@ -120,19 +120,12 @@ def _resolve_snapshot(args, graph):
     return synthesize_snapshot(graph, _build_scenario(args, graph))
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
+def _emit(report, args) -> None:
+    text = getattr(report, f"to_{args.format}")()
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
-
-
-def _render_report(report, fmt: str) -> str:
-    if fmt == "csv":
-        return report.to_csv()
-    if fmt == "json":
-        return report.to_json()
-    return report.to_text()
+        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
 
 
 def cmd_generate(args) -> int:
@@ -154,7 +147,7 @@ def cmd_eval(args) -> int:
     snapshot = _resolve_snapshot(args, graph)
     params = TrustParams(k=args.k, alpha=args.alpha, c0=args.c0, mode=args.mode)
     report = full_report(graph, snapshot, params)
-    _emit(_render_report(report, args.format), args.out)
+    _emit(report, args)
     if args.svg is not None:
         Path(args.svg).write_text(report.to_svg(), encoding="utf-8", newline="\n")
     return 0
@@ -178,7 +171,7 @@ def cmd_detect(args) -> int:
         evidence_threshold=args.evidence_threshold,
     )
     report = detect(graph, snapshot, trust_params, det_params)
-    _emit(_render_report(report, args.format), args.out)
+    _emit(report, args)
     if args.fail_on_flag and report.flagged_ids():
         return 3
     return 0

@@ -12,13 +12,12 @@ A node is flagged when its evidence meets or exceeds
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .graph import DependencyGraph
 from .errors import require_finite
 from .snapshot import Snapshot, edge_deviations
-from .trust import TrustParams, edge_weights
+from .trust import TrustParams, edge_weights, json_text, params_line
 
 DETECTION_HEADER = "trustconnect-detection v1"
 DETECTION_CSV_HEADER = "id,evidence,flagged"
@@ -79,10 +78,7 @@ class DetectionReport:
             lines.append(
                 f"ecu {e.id} {e.label} evidence={e.evidence!r} {mark} contradicted_by={neighbors}"
             )
-        lines.append(
-            f"params weight_threshold={self.params.weight_threshold!r} "
-            f"evidence_threshold={self.params.evidence_threshold!r}"
-        )
+        lines.append(params_line(self.params))
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
@@ -92,24 +88,11 @@ class DetectionReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        doc = {
-            "ecus": [
-                {
-                    "id": e.id,
-                    "label": e.label,
-                    "evidence": e.evidence,
-                    "flagged": e.flagged,
-                    "contradicting_neighbors": list(e.contradicting_neighbors),
-                }
-                for e in self.entries
-            ],
-            "ranking": list(self.ranking),
-            "params": {
-                "weight_threshold": self.params.weight_threshold,
-                "evidence_threshold": self.params.evidence_threshold,
-            },
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json_text({
+            "ecus": [vars(e) for e in self.entries],
+            "ranking": self.ranking,
+            "params": vars(self.params),
+        })
 
 
 def detect(

@@ -53,6 +53,11 @@ def finite_float(field: str) -> float:
     return value
 
 
+def is_one_field(text: str) -> bool:
+    """Whether ``text`` reads back as one record field: nonempty, no whitespace, no ``#``."""
+    return text.split() == [text] and "#" not in text
+
+
 class RecordReader(AbstractContextManager):
     """The records of a line-oriented text document, as field lists.
 

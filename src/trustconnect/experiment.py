@@ -39,11 +39,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, RecordReader, finite_float, require_finite
+from .errors import ParseError, RecordReader, finite_float, is_one_field, require_finite
 from .graph import (
     DependencyGraph,
     EpsilonDistribution,
     UNIFORM_EPSILON,
+    check_random_graph,
     from_text as graph_from_text,
     generate_random,
     load_graph,
@@ -59,6 +60,7 @@ from .snapshot import (
     attack_to_text,
     check_ground_truth,
     check_noise_sigma,
+    constant_ground_truth,
     edge_deviations,
     scenario_from_text,
     synthesize_snapshot,
@@ -93,6 +95,9 @@ class RandomGraphSpec:
     edge_probability: float
     epsilon: EpsilonDistribution = UNIFORM_EPSILON
     seed: int = 0
+
+    def __post_init__(self):
+        check_random_graph(self.n, self.edge_probability)
 
 
 def _check_grid_axis(name, values):
@@ -151,9 +156,8 @@ def resolve_graph(spec: SweepSpec) -> DependencyGraph:
 
 
 def resolve_scenario(spec: SweepSpec, graph: DependencyGraph) -> ScenarioSpec:
-    truth = {node.id: spec.truth_constant for node in graph.nodes}
-    for node_id, value in spec.truth_overrides:
-        truth[node_id] = value
+    truth = constant_ground_truth(graph, spec.truth_constant)
+    truth.update(spec.truth_overrides)
     return ScenarioSpec(
         ground_truth=truth,
         noise_sigma=spec.noise_sigma,
@@ -238,6 +242,9 @@ def _format_values(values) -> str:
 def sweep_spec_to_text(spec: SweepSpec) -> str:
     lines = [SWEEP_HEADER]
     if spec.graph_file is not None:
+        # not a SweepSpec check: a path resolved against a spec's directory may hold a space
+        if not is_one_field(spec.graph_file):
+            raise ValueError(f"graph_file {spec.graph_file!r} does not read back as one field")
         lines.append(f"graph_file {spec.graph_file}")
     else:
         g = spec.graph_random
@@ -279,13 +286,15 @@ def parse_sweep_spec(text: str, path: str | None = None) -> SweepSpec:
     names the file but no line.
     """
     kwargs = {}
-    overrides = []
+    overrides = {}
     single = set(SWEEP_RECORDS) - {"truth"}
     with RecordReader(text, path, SWEEP_HEADER, SWEEP_RECORDS, single) as records:
         for fields in records:
             kind = fields[0]
             if kind == "truth":
-                overrides.append((int(fields[1]), finite_float(fields[2])))
+                if (i := int(fields[1])) in overrides:
+                    raise ValueError(f"duplicate truth {i} record")
+                overrides[i] = finite_float(fields[2])
             elif kind == "graph_file":
                 graph_path = fields[1]
                 if path is not None and not os.path.isabs(graph_path):
@@ -308,7 +317,7 @@ def parse_sweep_spec(text: str, path: str | None = None) -> SweepSpec:
             else:
                 kwargs[kind] = finite_float(fields[1])
     try:
-        return SweepSpec(truth_overrides=tuple(overrides), **kwargs)
+        return SweepSpec(truth_overrides=tuple(overrides.items()), **kwargs)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import GraphInvariantError, RecordReader
+from .errors import GraphInvariantError, RecordReader, is_one_field
 
 GRAPH_HEADER = "trustconnect-graph v1"
 GRAPH_RECORDS = {"node": "<id> <label> <epsilon>", "edge": "<i> <j>"}
@@ -129,8 +129,7 @@ def validate(graph: DependencyGraph) -> list[str]:
         if node.id in seen_ids:
             violations.append(f"duplicate node id {node.id}")
         seen_ids.add(node.id)
-        # split() != [label] exactly when the label is empty or has whitespace
-        if node.label.split() != [node.label] or "," in node.label or "#" in node.label:
+        if not is_one_field(node.label) or "," in node.label:
             violations.append(f"node {node.id}: invalid label {node.label!r}")
         if not 0.0 <= node.epsilon <= 1.0:
             violations.append(f"node {node.id}: epsilon out of range ({node.epsilon!r})")
@@ -198,6 +197,14 @@ def parse_epsilon_dist(spec: str) -> EpsilonDistribution:
     raise ValueError(f"unknown distribution {spec!r}")
 
 
+def check_random_graph(n: int, edge_probability: float) -> None:
+    """Raise ValueError unless G(n, p) has n >= 1 and p in [0, 1]."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError(f"edge_probability must be in [0, 1], got {edge_probability}")
+
+
 def generate_random(
     n: int,
     edge_probability: float,
@@ -214,10 +221,7 @@ def generate_random(
 
     Identical inputs yield identical graphs on every platform.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError(f"edge_probability must be in [0, 1], got {edge_probability}")
+    check_random_graph(n, edge_probability)
     rng = random.Random(seed)
     nodes = tuple(
         EcuNode(id=i, label=f"E{i}", epsilon=epsilon_distribution.sample(rng))

@@ -254,9 +254,13 @@ def from_text(text: str, path: str | None = None) -> Snapshot:
     with RecordReader(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS) as records:
         for fields in records:
             if fields[0] == "obs":
-                observed[int(fields[1])] = finite_float(fields[2])
+                if (i := int(fields[1])) in observed:
+                    raise ValueError(f"duplicate obs {i} record")
+                observed[i] = finite_float(fields[2])
             else:
-                inferred[(int(fields[1]), int(fields[2]))] = finite_float(fields[3])
+                if (edge := (int(fields[1]), int(fields[2]))) in inferred:
+                    raise ValueError(f"duplicate inf {edge[0]} {edge[1]} record")
+                inferred[edge] = finite_float(fields[3])
     return Snapshot(observed=observed, inferred=inferred)
 
 
@@ -287,7 +291,9 @@ def scenario_from_text(text: str, path: str | None = None) -> ScenarioSpec:
         for fields in records:
             kind = fields[0]
             if kind == "truth":
-                truth[int(fields[1])] = finite_float(fields[2])
+                if (i := int(fields[1])) in truth:
+                    raise ValueError(f"duplicate truth {i} record")
+                truth[i] = finite_float(fields[2])
             elif kind == "noise_sigma":
                 kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
             elif kind == "seed":

@@ -11,6 +11,8 @@ from html import escape
 
 PALETTE = ("#4878a8", "#e8923c", "#6aa84f", "#a84848", "#7a5aa8")
 
+_WIDTH = 960
+_HEIGHT = 360
 _MARGIN_LEFT = 56
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
@@ -25,8 +27,6 @@ def grouped_bar_svg(
     title: str,
     labels: list[str],
     series: list[tuple[str, list[float]]],
-    width: int = 960,
-    height: int = 360,
 ) -> str:
     """Render one grouped-bar chart: one group per label, one bar per series.
 
@@ -38,8 +38,8 @@ def grouped_bar_svg(
             raise ValueError(
                 f"series {name!r} has {len(values)} values for {len(labels)} labels"
             )
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
     baseline = y0 + plot_h
     peak = max(
@@ -50,10 +50,10 @@ def grouped_bar_svg(
         peak = 1.0
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
     ]
 

@@ -129,15 +129,24 @@ def _propagate(cg: CompiledGraph, weights: list[float], params: TrustParams):
     if params.mode == "single-pass":
         for i, row in enumerate(rows):
             scores[i] = _row_total(row, scores)
-        return scores, True
-    converged = not rows
-    for _ in range(params.max_iterations):
-        nxt = [_row_total(row, scores) for row in rows]
-        change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
-        scores = nxt
-        if change < params.tolerance:
-            converged = True
-            break
+        converged = True
+    else:
+        converged = not rows
+        for _ in range(params.max_iterations):
+            nxt = [_row_total(row, scores) for row in rows]
+            change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
+            scores = nxt
+            if change < params.tolerance:
+                converged = True
+                break
+    # finite inputs can still overflow; a finite sum proves every score finite
+    if not math.isfinite(sum(scores)):
+        for node_id, score in zip(cg.ids, scores):
+            if not math.isfinite(score):
+                raise ValueError(
+                    f"trust score of node {node_id} is {score!r}, not finite "
+                    f"(alpha={params.alpha!r}, c0={params.c0!r}, mode={params.mode})"
+                )
     return scores, converged
 
 
@@ -199,6 +208,19 @@ def adjusted_trust(btv: float, trust: float, epsilon: float) -> float:
     return btv - (btv - trust) * (1.0 - epsilon)
 
 
+def params_line(params) -> str:
+    """``params name=value ...`` over the fields of a params dataclass."""
+    return "params " + " ".join(
+        f"{name}={value if isinstance(value, str) else repr(value)}"
+        for name, value in vars(params).items()
+    )
+
+
+def json_text(doc) -> str:
+    """A report document as indented JSON; ValueError on NaN or an infinity."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 @dataclass(frozen=True)
 class TrustEntry:
     id: int
@@ -241,11 +263,7 @@ class TrustReport:
                 f"ecu {e.id} {e.label} {e.epsilon!r} {e.btv!r} {e.trust!r} {e.eatv!r}"
             )
         lines.append(f"network_trust {self.network_trust!r}")
-        p = self.params
-        lines.append(
-            f"params k={p.k!r} alpha={p.alpha!r} c0={p.c0!r} mode={p.mode} "
-            f"max_iterations={p.max_iterations} tolerance={p.tolerance!r}"
-        )
+        lines.append(params_line(self.params))
         lines.append(f"converged {'true' if self.converged else 'false'}")
         for key, value in sorted(self.provenance):
             lines.append(f"meta {key} {value}")
@@ -269,32 +287,13 @@ class TrustReport:
         )
 
     def to_json(self) -> str:
-        p = self.params
-        doc = {
-            "ecus": [
-                {
-                    "id": e.id,
-                    "label": e.label,
-                    "epsilon": e.epsilon,
-                    "btv": e.btv,
-                    "trust": e.trust,
-                    "eatv": e.eatv,
-                }
-                for e in self.entries
-            ],
+        return json_text({
+            "ecus": [vars(e) for e in self.entries],
             "network_trust": self.network_trust,
-            "params": {
-                "k": p.k,
-                "alpha": p.alpha,
-                "c0": p.c0,
-                "mode": p.mode,
-                "max_iterations": p.max_iterations,
-                "tolerance": p.tolerance,
-            },
+            "params": vars(self.params),
             "converged": self.converged,
-            "provenance": {key: value for key, value in sorted(self.provenance)},
-        }
-        return json.dumps(doc, indent=2) + "\n"
+            "provenance": dict(sorted(self.provenance)),
+        })
 
 
 def _network_trust(entries: tuple[TrustEntry, ...]) -> float:

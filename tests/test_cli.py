@@ -239,6 +239,8 @@ GRAPH_FILE = "graph_file reference_graph.txt"
         ("reference_sweep.txt", [GRAPH_FILE, "truth_constant"], 3),
         ("reference_sweep.txt", [GRAPH_FILE, "k_values"], 3),
         ("reference_sweep.txt", ["graph_random n=5"], 2),
+        ("reference_sweep.txt", ["graph_random n=0 p=0.5"], 2),
+        ("reference_sweep.txt", ["graph_random n=3 p=1.5"], 2),
         ("reference_sweep.txt", [GRAPH_FILE, "mode fixed-point extra junk"], 3),
         ("reference_sweep.txt", [GRAPH_FILE, "noise_sigma 0.0 1.0"], 3),
         ("reference_sweep.txt", [GRAPH_FILE, "k_values 0.1,0.5 9"], 3),
@@ -265,6 +267,49 @@ def test_malformed_input_file_exits_2_naming_file_and_line(
                 "--scenario-file", str(path)]
     assert main(argv) == 2
     assert f"error: {path}:{line_no}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header, records",
+    [
+        ("trustconnect-snapshot v1", ["obs 0 1.0", "obs 0 2.0"]),
+        ("trustconnect-snapshot v1", ["inf 0 1 1.0", "inf 0 1 2.0"]),
+        ("trustconnect-scenario v1", ["truth 0 1.0", "truth 0 2.0"]),
+        ("trustconnect-sweep v1", [GRAPH_FILE, "truth 0 1.0", "truth 0 2.0"]),
+    ],
+    ids=["snapshot-obs", "snapshot-inf", "scenario-truth", "sweep-truth"],
+)
+def test_duplicate_per_id_record_exits_2_at_second_copy(
+    fixture_dir, tmp_path, capsys, header, records
+):
+    path = fixture_dir / "dup.txt"
+    path.write_text("\n".join([header, *records]) + "\n")
+    graph = str(fixture_dir / "reference_graph.txt")
+    argv = {
+        "trustconnect-snapshot v1": ["eval", "--graph", graph, "--snapshot", str(path)],
+        "trustconnect-scenario v1": ["eval", "--graph", graph, "--scenario-file", str(path)],
+        "trustconnect-sweep v1": ["sweep", str(path), "--output-dir", str(tmp_path)],
+    }[header]
+    assert main(argv) == 2
+    key = records[-1].rsplit(" ", 1)[0]
+    assert f"error: {path}:{len(records) + 1}: duplicate {key} record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "1e300", "--c0", "1e300", "--format", "json"],
+        ["--mode", "fixed-point", "--alpha", "1000"],
+    ],
+    ids=["alpha-c0-1e300-json", "fixed-point-alpha-1000"],
+)
+def test_overflowing_trust_score_exits_2(fixture_dir, capsys, flags):
+    rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+               "--scenario-file", str(fixture_dir / "reference_scenario.txt"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "trust score of node 0 is inf, not finite" in captured.err
 
 
 class TestDetect:

@@ -8,6 +8,8 @@ import pytest
 from trustconnect.detector import (
     DETECTION_CSV_HEADER,
     DETECTION_HEADER,
+    DetectionEntry,
+    DetectionReport,
     DetectorParams,
     detect,
 )
@@ -217,6 +219,14 @@ class TestSerialization:
         assert doc["ranking"][0] == 0
         assert doc["ecus"][0]["contradicting_neighbors"] == [1, 2]
         assert doc["params"]["weight_threshold"] == 0.5
+
+    def test_json_refuses_nan_evidence(self):
+        entry = DetectionEntry(
+            id=0, label="E0", evidence=math.nan, flagged=False, contradicting_neighbors=()
+        )
+        report = DetectionReport(entries=(entry,), ranking=(0,), params=DetectorParams())
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_deterministic(self):
         a, b = self.make_report(), self.make_report()

@@ -318,6 +318,24 @@ class TestSweepSpecFiles:
         result = run_sweep(loaded)
         assert result.graph == graph
 
+    @pytest.mark.parametrize("graph_file", ["dir#1/g.txt", "my dir/g.txt", ""])
+    def test_writer_rejects_graph_file_that_does_not_read_back(self, graph_file):
+        with pytest.raises(ValueError, match="graph_file"):
+            sweep_spec_to_text(SweepSpec(graph_file=graph_file))
+
+    def test_spec_in_directory_with_space_loads_and_runs(self, tmp_path):
+        from trustconnect.graph import save_graph
+
+        graph, _ = reference_fixture()
+        spec_dir = tmp_path / "my specs"
+        spec_dir.mkdir()
+        save_graph(graph, spec_dir / "net.txt")
+        spec_path = spec_dir / "sweep.txt"
+        save_sweep_spec(reference_sweep_spec("net.txt"), spec_path)
+        loaded = load_sweep_spec(spec_path)
+        assert loaded.graph_file == str(spec_dir / "net.txt")
+        assert run_sweep(loaded).graph == graph
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_sweep_spec("k_values 0.1\n")

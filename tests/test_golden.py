@@ -7,7 +7,9 @@ with noise and a two-sided attack. The 200-node sweep is pinned as a
 per-file sha256 list rather than as 33 stored files.
 
 The files were captured from the code as it stood before trust propagation
-moved onto the compiled graph core; refactors must leave them unchanged.
+moved onto the compiled graph core, and the detect JSON and CSV files before
+the report serializers were derived from the dataclasses; refactors must
+leave them unchanged.
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -59,6 +61,8 @@ REPORT_CASES = {
         "eval", "--mode", "fixed-point", "--k", "2", "--c0", "2", "--alpha", "0.4",
     ],
     "detect.txt": ["detect", "--k", "2"],
+    "detect.csv": ["detect", "--k", "2", "--format", "csv"],
+    "detect.json": ["detect", "--k", "2", "--format", "json"],
 }
 
 

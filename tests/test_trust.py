@@ -17,9 +17,12 @@ from trustconnect.snapshot import (
 )
 from trustconnect.trust import (
     CSV_HEADER,
+    MODES,
     REPORT_HEADER,
     NonConvergenceWarning,
+    TrustEntry,
     TrustParams,
+    TrustReport,
     adjusted_trust,
     baseline_trust,
     edge_weight,
@@ -517,6 +520,20 @@ class TestFullReport:
         ratio0 = math.exp(-10.0) / 1.0
         assert report.network_trust == pytest.approx((ratio0 + 1.0) / 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowing_scores_raise_naming_node_and_params(self, mode):
+        graph = build([(0, 1.0), (1, 1.0)], [(0, 1), (1, 0)])
+        snapshot = exact_snapshot(graph, {0: 0.0, 1: 0.0})
+        params = TrustParams(k=1.0, alpha=1e300, c0=1e300, mode=mode)
+        message = rf"node 0 is inf, not finite \(alpha=1e\+300, c0=1e\+300, mode={mode}\)"
+        for call in (
+            lambda: full_report(graph, snapshot, params),
+            lambda: trust_scores(graph, snapshot, params),
+            lambda: baseline_trust(graph, params),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_entry_lookup(self):
         graph, snapshot = self.make_attacked()
         report = full_report(graph, snapshot, TrustParams(k=1.0, alpha=0.1))
@@ -574,6 +591,17 @@ class TestReportSerialization:
         assert doc["params"]["mode"] == "single-pass"
         assert doc["converged"] is True
         assert doc["provenance"] == {"seed": "13", "source": "unit-test"}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_refuses_non_finite_values(self, value):
+        report = TrustReport(
+            entries=(TrustEntry(id=0, label="E0", epsilon=0.5, btv=1.0, trust=value, eatv=1.0),),
+            network_trust=1.0,
+            params=TrustParams(k=1.0, alpha=0.1),
+            converged=True,
+        )
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_serialization_is_deterministic(self):
         a, b = self.make_report(), self.make_report()
