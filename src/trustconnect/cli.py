@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .detector import DetectorParams, detect
-from .errors import TrustConnectError
+from .errors import SnapshotMismatchError, TrustConnectError
 from .experiment import (
     emit_figure_data,
     load_sweep_spec,
@@ -38,6 +38,7 @@ from .snapshot import (
     parse_ids,
     save_scenario,
     synthesize_snapshot,
+    validate_snapshot,
 )
 from .trust import MODES, TrustParams, full_report
 
@@ -116,7 +117,19 @@ def _resolve_snapshot(args, graph):
     if args.snapshot is not None:
         if args.scenario_file is not None or _inline_scenario_flags(args):
             raise ValueError("--snapshot and scenario flags are mutually exclusive")
-        return load_snapshot(args.snapshot)
+        snapshot = load_snapshot(args.snapshot)
+        # with one inferred value per edge and one observed value per node,
+        # all that can be wrong is a missing edge, which evaluation names;
+        # otherwise the full comparison lists the mismatches
+        if (len(snapshot.inferred) != len(graph.edges)
+                or snapshot.observed.keys() != set(graph.node_ids)):
+            problems = validate_snapshot(graph, snapshot)
+            more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+            raise SnapshotMismatchError(
+                f"{args.snapshot} does not match {args.graph}: "
+                + "; ".join(problems[:5]) + more
+            )
+        return snapshot
     return synthesize_snapshot(graph, _build_scenario(args, graph))
 
 

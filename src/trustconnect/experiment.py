@@ -462,7 +462,20 @@ def _cell_stem(k: float, alpha: float) -> str:
 
 
 def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
-    """Write per-cell CSV + grouped-bar SVG plus a manifest; returns paths."""
+    """Write per-cell CSV + grouped-bar SVG plus a manifest; returns paths.
+
+    Raises ValueError, before writing anything, when two cells would
+    write the same files (grid values alike in ``%g`` form).
+    """
+    cells = {}
+    for k, alpha in result.cells():
+        stem = _cell_stem(k, alpha)
+        other = cells.setdefault(stem, (k, alpha))
+        if other != (k, alpha):
+            raise ValueError(
+                f"cells k={other[0]!r} alpha={other[1]!r} and k={k!r} alpha={alpha!r} "
+                f"would both write {stem}.csv and {stem}.svg"
+            )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -471,9 +484,8 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
         f"graph_sha256 {result.graph_sha256}",
         f"mode {result.mode}",
     ]
-    for k, alpha in result.cells():
+    for stem, (k, alpha) in cells.items():
         report = result.report(k, alpha)
-        stem = _cell_stem(k, alpha)
         csv_path = out_dir / f"{stem}.csv"
         svg_path = out_dir / f"{stem}.svg"
         csv_path.write_text(report.to_csv(), encoding="utf-8", newline="\n")

@@ -22,6 +22,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import eq, itemgetter
 from pathlib import Path
 
 from .errors import GraphInvariantError, RecordReader, is_one_field
@@ -55,9 +57,14 @@ class DependencyGraph:
         object.__setattr__(
             self, "nodes", tuple(sorted(self.nodes, key=lambda node: node.id))
         )
-        object.__setattr__(
-            self, "edges", tuple(sorted((int(i), int(j)) for i, j in self.edges))
-        )
+        edges = tuple(self.edges)
+        # pairs of exact ints, as from_text builds them, are kept, not rebuilt
+        if not (
+            set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}
+        ):
+            edges = [(int(i), int(j)) for i, j in edges]
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -100,17 +107,16 @@ class CompiledGraph:
 
 def _compile(graph: DependencyGraph) -> CompiledGraph:
     ids = graph.node_ids
-    index = {node_id: k for k, node_id in enumerate(ids)}
-    src = [index.get(i) for i, _ in graph.edges]
-    dst = tuple(index.get(j) for _, j in graph.edges)
-    if len(index) != len(ids) or None in src or None in dst:
+    index = dict(zip(ids, range(len(ids))))
+    sources = list(map(itemgetter(0), graph.edges))
+    dst = tuple(map(index.get, map(itemgetter(1), graph.edges)))
+    if len(index) != len(ids) or None in dst or not index.keys() >= set(sources):
         raise GraphInvariantError(validate(graph))
     # edges are sorted by source id, so each node's out-edges are one run
-    offsets = tuple(bisect_left(src, k) for k in range(len(ids) + 1))
     return CompiledGraph(
         ids=ids,
         epsilons=tuple(node.epsilon for node in graph.nodes),
-        offsets=offsets,
+        offsets=(*map(bisect_left, repeat(sources), ids), len(sources)),
         dst=dst,
     )
 
@@ -121,6 +127,37 @@ def validate(graph: DependencyGraph) -> list[str]:
     Node problems come first (ascending id), then edge problems
     (lexicographic). An empty list means the graph is valid.
     """
+    return [] if _is_valid(graph) else _violations(graph)
+
+
+def _is_valid(graph: DependencyGraph) -> bool:
+    """Whether :func:`_violations` would find nothing, proved by bulk checks.
+
+    The constructor sorts the edges, so duplicate edges sit next to each
+    other. Every check runs over whole sequences in C except the one pass
+    over the nodes.
+    """
+    ids = graph.node_ids
+    known = set(ids)
+    edges = graph.edges
+    sources = list(map(itemgetter(0), edges))
+    targets = list(map(itemgetter(1), edges))
+    return (
+        len(known) == len(ids)
+        and min(ids, default=0) >= 0
+        and all(
+            0.0 <= node.epsilon <= 1.0 and is_one_field(node.label) and "," not in node.label
+            for node in graph.nodes
+        )
+        and not any(map(eq, sources, targets))
+        and not any(map(eq, edges, islice(edges, 1, None)))
+        and known.issuperset(sources)
+        and known.issuperset(targets)
+    )
+
+
+def _violations(graph: DependencyGraph) -> list[str]:
+    """The per-item scan behind :func:`validate`."""
     violations: list[str] = []
     seen_ids: set[int] = set()
     for node in graph.nodes:

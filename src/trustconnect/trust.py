@@ -41,6 +41,7 @@ import operator
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 from .errors import require_finite
 from .graph import CompiledGraph, DependencyGraph
@@ -115,22 +116,25 @@ def _row_total(row, scores) -> float:
     return total
 
 
-def _propagate(cg: CompiledGraph, weights: list[float], params: TrustParams):
+def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams):
     """Scores by node index for edge-aligned weights, and a converged flag.
 
     Both modes sweep rows in ascending id. Single-pass updates the score
-    list in place (a neighbor not yet evaluated still holds c0); fixed-point
-    builds each iterate from the previous one.
+    list in place (a neighbor not yet evaluated still holds c0) and reads
+    each row straight off one iterator over the edges. Fixed-point builds
+    each iterate from the previous one, over rows of (coef, j, weight)
+    tuples built once, which is faster when every row is read many times.
     """
-    alpha, offsets = params.alpha, cg.offsets
-    terms = list(zip([cg.epsilons[j] * alpha for j in cg.dst], cg.dst, weights))
-    rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
-    scores = [params.c0] * len(rows)
+    alpha, offsets, epsilons = params.alpha, cg.offsets, cg.epsilons
+    edges = zip([epsilons[j] * alpha for j in cg.dst], cg.dst, weights)
+    scores = [params.c0] * len(cg.ids)
     if params.mode == "single-pass":
-        for i, row in enumerate(rows):
-            scores[i] = _row_total(row, scores)
+        for i, count in enumerate(map(operator.sub, offsets[1:], offsets)):
+            scores[i] = _row_total(islice(edges, count), scores)
         converged = True
     else:
+        terms = list(edges)
+        rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
         converged = not rows
         for _ in range(params.max_iterations):
             nxt = [_row_total(row, scores) for row in rows]
@@ -159,7 +163,7 @@ def _baseline(cg: CompiledGraph, params: TrustParams):
     key = (params.alpha, params.c0, params.mode, params.max_iterations, params.tolerance)
     memo = cg.baselines.get(key)
     if memo is None:
-        scores, converged = _propagate(cg, [1.0] * len(cg.dst), params)
+        scores, converged = _propagate(cg, repeat(1.0), params)
         memo = cg.baselines[key] = (tuple(scores), converged)
     return memo
 
@@ -216,9 +220,47 @@ def params_line(params) -> str:
     )
 
 
-def json_text(doc) -> str:
-    """A report document as indented JSON; ValueError on NaN or an infinity."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+# A list of records one level into the document holds each record's fields
+# six spaces deep under indent=2. The C encoder writes no newline of its own,
+# so with this item separator it puts the fields of a flat record exactly there.
+_RECORDS = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _records_json(value) -> str | None:
+    """``value`` as indent=2 writes it one level in, if it is a nonempty list
+    of nonempty dicts of scalars; otherwise None.
+
+    Such a list comes out of the C encoder as ``[{...},SEP{...}]``. Only a
+    record boundary reads ``},SEP{``: SEP holds a newline, which no encoded
+    string does, and inside a record SEP is followed by a key's quote.
+    """
+    if not (
+        type(value) in (list, tuple) and set(map(type, value)) == {dict}
+        and all(value)
+        and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS
+    ):
+        return None
+    records = _RECORDS.encode(value)[2:-2]
+    return "[\n    {\n      " + records.replace(
+        "},\n      {", "\n    },\n    {\n      "
+    ) + "\n    }\n  ]"
+
+
+def json_text(doc: dict) -> str:
+    """A report document as indented JSON; ValueError on NaN or an infinity.
+
+    ``doc`` has string keys. The text is ``json.dumps(doc, indent=2,
+    allow_nan=False)`` plus a newline. That encoder is pure Python; a list
+    of flat records (a report's ``ecus``) goes through the C encoder instead.
+    """
+    fields = []
+    for key, value in doc.items():
+        text = _records_json(value)
+        if text is None:
+            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n"
 
 
 @dataclass(frozen=True)
@@ -346,14 +388,7 @@ def report_from_deviations(
     if not converged:
         _warn_unconverged(params, "evaluation")
     entries = tuple(
-        TrustEntry(
-            id=node.id,
-            label=node.label,
-            epsilon=node.epsilon,
-            btv=b,
-            trust=t,
-            eatv=adjusted_trust(b, t, node.epsilon),
-        )
+        TrustEntry(node.id, node.label, node.epsilon, b, t, adjusted_trust(b, t, node.epsilon))
         for node, b, t in zip(graph.nodes, btv, trust)
     )
     return TrustReport(

@@ -19,7 +19,7 @@ from trustconnect.experiment import (
     reference_sweep_spec,
 )
 from trustconnect.graph import DependencyGraph, EcuNode, load_graph, save_graph
-from trustconnect.snapshot import Snapshot, save_snapshot
+from trustconnect.snapshot import Snapshot, save_snapshot, synthesize_snapshot
 
 
 @pytest.fixture(autouse=True)
@@ -130,6 +130,23 @@ class TestEval:
         assert rc == 2
         assert "(0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "detect"])
+    def test_snapshot_records_the_graph_lacks_exit_2(self, fixture_dir, tmp_path, capsys,
+                                                      command):
+        graph, scenario = reference_fixture()
+        snap_path = tmp_path / "extra.txt"
+        save_snapshot(synthesize_snapshot(graph, scenario), snap_path)
+        args = [command, "--graph", str(fixture_dir / "reference_graph.txt"),
+                "--snapshot", str(snap_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        with open(snap_path, "a", encoding="utf-8") as snap:
+            snap.write("obs 999 5.0\ninf 998 999 1.0\n")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "observed value for unknown node 999" in err
+        assert "inferred value for unknown edge (998, 999)" in err
+
     @pytest.mark.parametrize("flag", ["--k", "--alpha", "--c0"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_param_exits_2_naming_it(self, fixture_dir, capsys, flag, value):
@@ -223,6 +240,17 @@ class TestSweep:
         assert (out_dir / "manifest.txt").exists()
         assert (out_dir / "sweep_k1_a0.2.csv").exists()
         assert (out_dir / "sweep_k1_a0.2.svg").exists()
+
+    def test_grid_values_sharing_a_file_name_exit_2_writing_nothing(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        spec = replace(reference_sweep_spec(), k_values=(0.1, 0.1000001))
+        spec_path = fixture_dir / "close_sweep.txt"
+        save_sweep_spec(spec, spec_path)
+        out_dir = tmp_path / "cells"
+        assert main(["sweep", str(spec_path), "--output-dir", str(out_dir)]) == 2
+        assert "k=0.1 alpha=0.05 and k=0.1000001 alpha=0.05" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_spec_file_exits_1(self, tmp_path, capsys):
         rc = main(["sweep", str(tmp_path / "absent.txt"),

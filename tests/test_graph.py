@@ -1,7 +1,9 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustconnect.errors import GraphInvariantError, ParseError
 from trustconnect.graph import (
@@ -16,6 +18,8 @@ from trustconnect.graph import (
     save_graph,
     to_text,
     validate,
+    _is_valid,
+    _violations,
 )
 
 
@@ -82,6 +86,56 @@ def test_validate_ordering_is_deterministic():
         "edge (0, 7): unknown node 7",
         "self-loop at node 2",
     ]
+
+
+FLAWS = (
+    "negative id", "duplicate id", "label", "epsilon",
+    "self-loop", "duplicate edge", "unknown source", "unknown target",
+)
+
+
+@st.composite
+def graphs_with_flaw(draw, flaw):
+    """A valid small graph, with one violation of kind ``flaw`` injected unless it is None."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    nodes = [EcuNode(i, f"E{i}", draw(st.floats(0.0, 1.0))) for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), unique=True, max_size=10))
+    i = draw(st.integers(0, n - 1))
+    if flaw == "negative id":
+        nodes.append(EcuNode(draw(st.integers(-3, -1)), "N", 0.5))
+    elif flaw == "duplicate id":
+        nodes.append(EcuNode(i, "D", 0.5))
+    elif flaw == "label":
+        label = draw(st.sampled_from(["a,b", "a#b", "a b", "", "\t", "x\n", "a\x1cb", "\u2003"]))
+        nodes[i] = replace(nodes[i], label=label)
+    elif flaw == "epsilon":
+        epsilon = draw(st.sampled_from([math.nan, -0.1, 1.5, math.inf, -math.inf, -1e-300]))
+        nodes[i] = replace(nodes[i], epsilon=epsilon)
+    elif flaw == "self-loop":
+        edges.append((i, i))
+    elif flaw == "duplicate edge":
+        # the copy goes first: the constructor must bring the pair together
+        edges[:0] = [draw(st.sampled_from(edges))] if edges else [(0, n), (0, n)]
+    elif flaw is not None:
+        edge = (i, n + draw(st.integers(0, 3)))
+        edges.append(edge if flaw == "unknown target" else edge[::-1])
+    return DependencyGraph(nodes=tuple(nodes), edges=tuple(edges))
+
+
+@pytest.mark.parametrize("flaw", [None, *FLAWS])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_bulk_accept_passes_exactly_when_the_scan_finds_nothing(flaw, data):
+    graph = data.draw(graphs_with_flaw(flaw))
+    assert _is_valid(graph) == (_violations(graph) == []) == (flaw is None)
+    assert validate(graph) == _violations(graph)
+
+
+def test_constructor_canonicalizes_any_iterable_of_pairs():
+    g = DependencyGraph(nodes=(), edges=(e for e in ([1, 0], (True, 2.0), (0, 1))))
+    assert g.edges == ((0, 1), (1, 0), (1, 2))
+    assert all(type(i) is int for edge in g.edges for i in edge)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
+from trustconnect.detector import DetectionEntry, DetectionReport, DetectorParams
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
 from trustconnect.snapshot import (
     AttackSpec,
@@ -27,6 +28,7 @@ from trustconnect.trust import (
     baseline_trust,
     edge_weight,
     full_report,
+    json_text,
     trust_scores,
 )
 
@@ -608,3 +610,68 @@ class TestReportSerialization:
         assert a.to_text() == b.to_text()
         assert a.to_csv() == b.to_csv()
         assert a.to_json() == b.to_json()
+
+
+# quotes, backslashes, braces, separators, control and non-ASCII characters
+json_strings = st.text(
+    alphabet=st.sampled_from('"\\{}[],: \n\t\x00\x1fé \U0001f600') | st.characters(),
+    max_size=6,
+)
+json_finite = st.floats(allow_nan=False, allow_infinity=False)
+json_scalars = st.none() | st.booleans() | st.integers() | json_finite | json_strings
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_strings, inner, max_size=3),
+    max_leaves=8,
+)
+json_docs = st.dictionaries(
+    json_strings,
+    json_values | st.lists(st.dictionaries(json_strings, json_scalars, max_size=4), max_size=3),
+    max_size=4,
+)
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonText:
+    @given(json_docs)
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert json_text(doc) == _dumps(doc)
+
+    @given(
+        entries=st.lists(
+            st.builds(
+                TrustEntry, id=st.integers(), label=json_strings, epsilon=json_finite,
+                btv=json_finite, trust=json_finite, eatv=json_finite,
+            ),
+            max_size=4,
+        ),
+        provenance=st.dictionaries(json_strings, json_strings, max_size=3),
+    )
+    def test_trust_report_document(self, entries, provenance):
+        report = TrustReport(
+            entries=tuple(entries), network_trust=1.0, params=TrustParams(k=1.0, alpha=0.1),
+            converged=True, provenance=tuple(sorted(provenance.items())),
+        )
+        text = report.to_json()
+        assert json_text(json.loads(text)) == _dumps(json.loads(text)) == text
+
+    @given(
+        entries=st.lists(
+            st.builds(
+                DetectionEntry, id=st.integers(), label=json_strings, evidence=json_finite,
+                flagged=st.booleans(),
+                contradicting_neighbors=st.lists(st.integers(), max_size=3).map(tuple),
+            ),
+            max_size=4,
+        )
+    )
+    def test_detection_report_document(self, entries):
+        report = DetectionReport(
+            entries=tuple(entries), ranking=tuple(e.id for e in entries),
+            params=DetectorParams(),
+        )
+        text = report.to_json()
+        assert json_text(json.loads(text)) == _dumps(json.loads(text)) == text
