@@ -12,6 +12,7 @@ variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -38,7 +39,6 @@ from .snapshot import (
     parse_ids,
     save_scenario,
     synthesize_snapshot,
-    validate_snapshot,
 )
 from .trust import MODES, TrustParams, full_report
 
@@ -117,19 +117,12 @@ def _resolve_snapshot(args, graph):
     if args.snapshot is not None:
         if args.scenario_file is not None or _inline_scenario_flags(args):
             raise ValueError("--snapshot and scenario flags are mutually exclusive")
-        snapshot = load_snapshot(args.snapshot)
-        # with one inferred value per edge and one observed value per node,
-        # all that can be wrong is a missing edge, which evaluation names;
-        # otherwise the full comparison lists the mismatches
-        if (len(snapshot.inferred) != len(graph.edges)
-                or snapshot.observed.keys() != set(graph.node_ids)):
-            problems = validate_snapshot(graph, snapshot)
-            more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+        try:
+            return load_snapshot(args.snapshot, graph)
+        except SnapshotMismatchError as exc:
             raise SnapshotMismatchError(
-                f"{args.snapshot} does not match {args.graph}: "
-                + "; ".join(problems[:5]) + more
-            )
-        return snapshot
+                f"{args.snapshot} does not match {args.graph}: {exc}"
+            ) from None
     return synthesize_snapshot(graph, _build_scenario(args, graph))
 
 
@@ -322,19 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # nothing a command builds forms a reference cycle, so the cyclic
+    # collector would only rescan the parsed records; off for the run
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except (TrustConnectError, ValueError) as exc:
         print(f"trustconnect: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"trustconnect: i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the reader of its text formats."""
+"""Exception types shared across the package, and the readers of its text formats."""
 
 import math
 from contextlib import AbstractContextManager
+from itertools import repeat
 
 
 class TrustConnectError(Exception):
@@ -107,3 +108,35 @@ class RecordReader(AbstractContextManager):
     def __exit__(self, exc_type, exc, traceback):
         if isinstance(exc, ValueError):
             raise ParseError(str(exc), self.path, self.line_no) from exc
+
+
+COLUMN_CHUNK = 16384
+
+
+def read_columns(lines: list[str], start: int, stop: int, spec) -> list[list] | None:
+    """The fields of ``lines[start:stop]`` by column, or None if a line is not canonical.
+
+    A canonical line holds ``len(spec)`` fields joined by single spaces. Per
+    field, ``spec`` holds the list of strings the lines must hold there, or
+    a function to map over the column; the mapped columns are returned, and
+    a function raising ValueError or LookupError also gives None. Lines are
+    split ``COLUMN_CHUNK`` at a time, so one chunk's field strings are alive.
+    """
+    width = len(spec)
+    columns = {k: [] for k, kind in enumerate(spec) if callable(kind)}
+    for begin in range(start, stop, COLUMN_CHUNK):
+        chunk = lines[begin:min(begin + COLUMN_CHUNK, stop)]
+        # per line: a total field count accepts "a b" + "c a b c"
+        if set(map(str.count, chunk, repeat(" "))) != {width - 1}:
+            return None
+        fields = " ".join(chunk).split(" ")
+        for k, kind in enumerate(spec):
+            column = fields[k::width]
+            try:
+                if k in columns:
+                    columns[k].extend(map(kind, column))
+                elif column != kind[begin - start:begin - start + len(column)]:
+                    return None
+            except (ValueError, LookupError):
+                return None
+    return list(columns.values())

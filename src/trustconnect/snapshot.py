@@ -34,9 +34,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import sub
 from pathlib import Path
 
-from .errors import RecordReader, SnapshotMismatchError, finite_float, require_finite
+from .errors import (
+    RecordReader, SnapshotMismatchError, finite_float, read_columns, require_finite,
+)
 from .graph import DependencyGraph
 
 SNAPSHOT_HEADER = "trustconnect-snapshot v1"
@@ -248,7 +252,54 @@ def to_text(snapshot: Snapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str, path: str | None = None) -> Snapshot:
+def from_text(text: str, path: str | None = None,
+              graph: DependencyGraph | None = None) -> Snapshot:
+    """Parse a snapshot document; raises ParseError at the first bad line.
+
+    Given ``graph``, SnapshotMismatchError lists the first five ways the
+    snapshot fails to match it. A document in ``to_text``'s layout for the
+    graph is read in bulk and matches by construction.
+    """
+    if graph is None:
+        return _read_records(text, path)
+    snapshot = _read_aligned(text, graph)
+    if snapshot is None:
+        snapshot = _read_records(text, path)
+        # with one inferred value per edge and one observed value per node,
+        # all that can be wrong is a missing edge, which evaluation names;
+        # otherwise the full comparison lists the mismatches
+        if (len(snapshot.inferred) != len(graph.edges)
+                or snapshot.observed.keys() != set(graph.node_ids)):
+            problems = validate_snapshot(graph, snapshot)
+            more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+            raise SnapshotMismatchError("; ".join(problems[:5]) + more)
+    return snapshot
+
+
+def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
+    """The snapshot of the header, an ``obs`` line per node in id order and an
+    ``inf`` line per edge in ``graph.edges`` order, all finite; else None.
+
+    Ids are compared as text, and ``inferred`` is keyed by the graph's tuples.
+    """
+    compiled = graph.compiled
+    ids = list(map(str, compiled.ids))
+    lines = text.splitlines()
+    if lines[:1] != [SNAPSHOT_HEADER] or len(lines) != 1 + len(ids) + len(compiled.dst):
+        return None
+    rows = map(sub, compiled.offsets[1:], compiled.offsets)
+    sources = list(chain.from_iterable(map(repeat, ids, rows)))
+    targets = list(map(ids.__getitem__, compiled.dst))
+    obs = read_columns(lines, 1, 1 + len(ids), (["obs"] * len(ids), ids, float))
+    inf = obs and read_columns(lines, 1 + len(ids), len(lines),
+                               (["inf"] * len(targets), sources, targets, float))
+    # a finite sum proves every value finite; any other is the reader's to name
+    if not inf or not math.isfinite(sum(obs[0]) + sum(inf[0])):
+        return None
+    return Snapshot(dict(zip(compiled.ids, obs[0])), dict(zip(graph.edges, inf[0])))
+
+
+def _read_records(text: str, path: str | None) -> Snapshot:
     observed: dict[int, float] = {}
     inferred: dict[tuple[int, int], float] = {}
     with RecordReader(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS) as records:
@@ -268,8 +319,8 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
     Path(path).write_text(to_text(snapshot), encoding="utf-8", newline="\n")
 
 
-def load_snapshot(path) -> Snapshot:
-    return from_text(Path(path).read_text(encoding="utf-8"), path=str(path))
+def load_snapshot(path, graph: DependencyGraph | None = None) -> Snapshot:
+    return from_text(Path(path).read_text(encoding="utf-8"), str(path), graph)
 
 
 def scenario_to_text(scenario: ScenarioSpec) -> str:

@@ -4,6 +4,7 @@ Every test drives main() in process and asserts on exit codes plus
 captured stdout/stderr, the same contract scripts and CI see.
 """
 
+import gc
 import json
 import xml.etree.ElementTree as ElementTree
 from dataclasses import replace
@@ -18,7 +19,7 @@ from trustconnect.experiment import (
     save_sweep_spec,
     reference_sweep_spec,
 )
-from trustconnect.graph import DependencyGraph, EcuNode, load_graph, save_graph
+from trustconnect.graph import DependencyGraph, EcuNode, generate_random, load_graph, save_graph
 from trustconnect.snapshot import Snapshot, save_snapshot, synthesize_snapshot
 
 
@@ -415,3 +416,58 @@ class TestParsing:
         assert "--format" in out
         assert "--seed" in out
         assert "--output-dir" in out
+
+
+class TestCyclicCollector:
+    """``main`` runs each command with the cyclic collector off."""
+
+    @staticmethod
+    def _commands(tmp_path, graph, scenario):
+        tmp_path.mkdir()
+        graph_path, snap_path = tmp_path / "graph.txt", tmp_path / "snapshot.txt"
+        spec_path = tmp_path / "sweep.txt"
+        save_graph(graph, graph_path)
+        save_snapshot(synthesize_snapshot(graph, scenario), snap_path)
+        save_sweep_spec(reference_sweep_spec(str(graph_path)), spec_path)
+        files = ["--graph", str(graph_path), "--snapshot", str(snap_path)]
+        return [
+            ["eval", *files, "--format", "json"],
+            ["detect", *files, "--format", "json"],
+            ["sweep", str(spec_path), "--output-dir", str(tmp_path / "cells")],
+        ]
+
+    @staticmethod
+    def _leftovers(commands, capsys):
+        """Per command, the objects in unreachable cycles it left behind."""
+        counts = []
+        for argv in commands:
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.isenabled()
+            counts.append(gc.collect())
+        capsys.readouterr()
+        return counts
+
+    def test_prior_collector_state_is_restored(self, fixture_dir, capsys):
+        argv = ["eval", "--graph", str(fixture_dir / "reference_graph.txt")]
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert main(argv) == 0
+        assert gc.isenabled()
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, capsys):
+        # argparse and the indented JSON encoder leave a fixed number of
+        # cycles per command; none may come from the graph or snapshot
+        graph, scenario = reference_fixture()
+        larger = generate_random(10 * len(graph.nodes), 0.2, seed=1)
+        larger_scenario = replace(
+            scenario, ground_truth={i: 1.0 + i % 7 for i in larger.node_ids}
+        )
+        reference = self._commands(tmp_path / "reference", graph, scenario)
+        ten_times = self._commands(tmp_path / "larger", larger, larger_scenario)
+        self._leftovers(reference, capsys)  # warm-up: first-use caches
+        assert self._leftovers(ten_times, capsys) == self._leftovers(reference, capsys)

@@ -2,13 +2,20 @@
 
 Every value a format can hold survives ``from_text(to_text(x)) == x``, and
 no line of input, however malformed, escapes as anything but a ParseError
-(or a GraphInvariantError for a well-formed but invalid graph).
+(or a GraphInvariantError for a well-formed but invalid graph). The bulk
+readers of canonical graph and snapshot files either return exactly what
+the record reader returns or leave the document to it.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trustconnect.errors import GraphInvariantError, ParseError, RecordReader
+from trustconnect.errors import (
+    GraphInvariantError,
+    ParseError,
+    RecordReader,
+    SnapshotMismatchError,
+)
 from trustconnect.experiment import (
     SWEEP_HEADER,
     SWEEP_RECORDS,
@@ -23,6 +30,8 @@ from trustconnect.graph import (
     DependencyGraph,
     EcuNode,
     EpsilonDistribution,
+    _read_canonical as graph_read_canonical,
+    _read_records as graph_read_records,
     from_text as graph_from_text,
     to_text as graph_to_text,
     validate,
@@ -36,10 +45,12 @@ from trustconnect.snapshot import (
     AttackSpec,
     ScenarioSpec,
     Snapshot,
+    _read_aligned as snapshot_read_aligned,
     from_text as snapshot_from_text,
     scenario_from_text,
     scenario_to_text,
     to_text as snapshot_to_text,
+    validate_snapshot,
 )
 from trustconnect.trust import MODES
 
@@ -62,8 +73,8 @@ labels = st.text(
 
 
 @st.composite
-def graphs(draw):
-    ids_drawn = draw(st.lists(node_ids, unique=True, max_size=8))
+def graphs(draw, min_nodes=0):
+    ids_drawn = draw(st.lists(node_ids, unique=True, min_size=min_nodes, max_size=8))
     nodes = tuple(EcuNode(i, draw(labels), draw(unit)) for i in ids_drawn)
     edges = []
     if len(ids_drawn) > 1:
@@ -202,3 +213,98 @@ def test_reader_checks_optional_field_counts():
                 seen.append(fields)
     assert seen == [["pair", "1"], ["pair", "1", "2"]]
     assert str(excinfo.value) == "f:6: expected: pair <a> [<b>]"
+
+
+# edits of a canonical graph or snapshot document, each applied at a drawn
+# record; the first two need the record after it too
+PAIRWISE = ("misaligned pair", "swapped records")
+MUTATIONS = PAIRWISE + (
+    "canonical", "tab", "double space", "trailing space", "crlf", "blank line",
+    "comment line", "trailing comment", "leading zero", "duplicate record",
+    "unknown id", "extra field", "non-finite value",
+)
+
+
+def _mutated(name, text, draw):
+    lines = text.splitlines()
+    k = draw(st.integers(1, len(lines) - (2 if name in PAIRWISE else 1)))
+    line = lines[k]
+    fields = line.split(" ")
+    if name == "misaligned pair":
+        # "inf 1 2" + "5.0 inf 3 4 6.0": every field lands in its column
+        lines[k:k + 2] = [" ".join(fields[:-1]), f"{fields[-1]} {lines[k + 1]}"]
+    elif name == "swapped records":
+        lines[k:k + 2] = [lines[k + 1], line]
+    elif name in ("tab", "double space"):
+        cut = draw(st.integers(1, len(fields) - 1))
+        gap = "\t" if name == "tab" else "  "
+        lines[k] = " ".join(fields[:cut]) + gap + " ".join(fields[cut:])
+    elif name == "trailing space":
+        lines[k] = line + " "
+    elif name == "blank line":
+        lines.insert(k, "")
+    elif name == "comment line":
+        lines.insert(k, "# note")
+    elif name == "trailing comment":
+        lines[k] = line + " # note"
+    elif name == "duplicate record":
+        lines.insert(k, line)
+    elif name == "extra field":
+        lines[k] = line + " 1"
+    elif name in ("leading zero", "unknown id", "non-finite value"):
+        if name == "non-finite value":
+            position = -1
+            value = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        else:
+            position = draw(st.sampled_from([1, 2] if fields[0] in ("inf", "edge") else [1]))
+            value = "0" + fields[position] if name == "leading zero" else "99999999"
+        fields[position] = value
+        lines[k] = " ".join(fields)
+    text = "\n".join(lines) + "\n"
+    return text.replace("\n", "\r\n") if name == "crlf" else text
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, GraphInvariantError, SnapshotMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+two_node_graphs = graphs(min_nodes=2)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_bulk_graph_read_is_the_reader_or_falls_back(mutation, data):
+    graph = data.draw(two_node_graphs)
+    text = _mutated(mutation, graph_to_text(graph), data.draw)
+    reader = _outcome(graph_read_records, text, "doc.txt")
+    bulk = graph_read_canonical(text)
+    assert bulk is None or bulk == reader
+    assert mutation != "canonical" or bulk == graph
+    assert _outcome(graph_from_text, text, "doc.txt") == reader
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_aligned_snapshot_read_is_the_reader_or_falls_back(mutation, data):
+    graph = data.draw(two_node_graphs)
+    values = st.floats(min_value=-1e300, max_value=1e300)
+    snapshot = Snapshot(
+        observed={i: data.draw(values) for i in graph.node_ids},
+        inferred={edge: data.draw(values) for edge in graph.edges},
+    )
+    text = _mutated(mutation, snapshot_to_text(snapshot), data.draw)
+    reader = _outcome(snapshot_from_text, text, "doc.txt")
+    bulk = snapshot_read_aligned(text, graph)
+    assert bulk is None or bulk == reader
+    assert mutation != "canonical" or bulk == snapshot
+    public = _outcome(snapshot_from_text, text, "doc.txt", graph)
+    if isinstance(reader, Snapshot) and validate_snapshot(graph, reader):
+        # counts that match leave a wrong edge for evaluation to name
+        assert public == reader or public[0] is SnapshotMismatchError
+    else:
+        assert public == reader
