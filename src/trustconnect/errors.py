@@ -117,10 +117,10 @@ def read_columns(lines: list[str], start: int, stop: int, spec) -> list[list] | 
     """The fields of ``lines[start:stop]`` by column, or None if a line is not canonical.
 
     A canonical line holds ``len(spec)`` fields joined by single spaces. Per
-    field, ``spec`` holds the list of strings the lines must hold there, or
-    a function to map over the column; the mapped columns are returned, and
-    a function raising ValueError or LookupError also gives None. Lines are
-    split ``COLUMN_CHUNK`` at a time, so one chunk's field strings are alive.
+    field, ``spec`` gives the string every line holds there, the list of
+    strings the lines hold there, or a function to map over the column; the
+    mapped columns are returned, and a function raising ValueError or
+    LookupError also gives None. Lines are split ``COLUMN_CHUNK`` at a time.
     """
     width = len(spec)
     columns = {k: [] for k, kind in enumerate(spec) if callable(kind)}
@@ -135,7 +135,8 @@ def read_columns(lines: list[str], start: int, stop: int, spec) -> list[list] | 
             try:
                 if k in columns:
                     columns[k].extend(map(kind, column))
-                elif column != kind[begin - start:begin - start + len(column)]:
+                elif (column.count(kind) != len(column) if isinstance(kind, str)
+                      else column != kind[begin - start:begin - start + len(column)]):
                     return None
             except (ValueError, LookupError):
                 return None

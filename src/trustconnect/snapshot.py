@@ -285,14 +285,14 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     compiled = graph.compiled
     ids = list(map(str, compiled.ids))
     lines = text.splitlines()
-    if lines[:1] != [SNAPSHOT_HEADER] or len(lines) != 1 + len(ids) + len(compiled.dst):
+    if (lines[:1] != [SNAPSHOT_HEADER] or len(lines) != 1 + len(ids) + len(compiled.dst)
+            or "#" in text or "\t" in text):
         return None
     rows = map(sub, compiled.offsets[1:], compiled.offsets)
     sources = list(chain.from_iterable(map(repeat, ids, rows)))
     targets = list(map(ids.__getitem__, compiled.dst))
-    obs = read_columns(lines, 1, 1 + len(ids), (["obs"] * len(ids), ids, float))
-    inf = obs and read_columns(lines, 1 + len(ids), len(lines),
-                               (["inf"] * len(targets), sources, targets, float))
+    obs = read_columns(lines, 1, 1 + len(ids), ("obs", ids, float))
+    inf = obs and read_columns(lines, 1 + len(ids), len(lines), ("inf", sources, targets, float))
     # a finite sum proves every value finite; any other is the reader's to name
     if not inf or not math.isfinite(sum(obs[0]) + sum(inf[0])):
         return None

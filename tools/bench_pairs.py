@@ -1,17 +1,16 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr N [--parent REV] [--parent-dir DIR]
-        [--change-dir DIR] [--pairs 10] [--seconds S] [--seed 1]
-        [--workload NAME ...] [--no-trace] [--change TEXT] [--out FILE]
+    python3 tools/bench_pairs.py --pr N --parent REV [--pairs 10] [--seed 1]
+        [--workload NAME ...] [--no-trace] [--change TEXT]
 
-The parent is checked out with ``git worktree add --detach`` (removed again
-at the end) unless ``--parent-dir`` names an existing checkout of it. The
-change is the working tree, or ``--change-dir``. For each workload the two
-sides run ``perfbench/run.py`` in turn, ``--pairs`` times, and the side that
-runs first alternates from pair to pair. Each run's end-to-end metrics are
-paired by index: ``change_wins`` counts the pairs where the change is
-better. Unless ``--no-trace``, one ``--trace 1`` run per side and workload
-records the per-layer metrics.
+Both sides are committed revisions, each extracted with ``git archive`` into
+a temporary directory: the parent is ``--parent`` and the change is HEAD.
+The two must differ in tree. For each workload the two sides run
+``perfbench/run.py`` for ``BENCHMARK.json``'s ``run_seconds`` in turn,
+``--pairs`` times, and the side that runs first alternates from pair to
+pair. Each run's end-to-end metrics are paired by index: ``change_wins``
+counts the pairs where the change is better. Unless ``--no-trace``, one
+``--trace 1`` run per side and workload records the per-layer metrics.
 
 Standard library only. The output has the schema of ``BENCH_5.json``.
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import statistics
 import subprocess
 import sys
@@ -37,11 +35,20 @@ def git(*args: str, cwd: Path = ROOT) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def extract(rev: str, into: Path) -> Path:
+    """The committed files of ``rev``, written to a new directory ``into``."""
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its result line, plus its facts."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = done.stdout.splitlines()
@@ -82,40 +89,30 @@ def traced(run: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
-    parser.add_argument("--parent", default="HEAD", metavar="REV",
-                        help="parent revision (default HEAD)")
-    parser.add_argument("--parent-dir", type=Path, metavar="DIR",
-                        help="an existing checkout of the parent revision, used as is")
-    parser.add_argument("--change-dir", type=Path, default=ROOT, metavar="DIR",
-                        help="checkout of the change (default: this working tree)")
+    parser.add_argument("--parent", required=True, metavar="REV",
+                        help="the revision the change (HEAD) is compared with")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", metavar="NAME",
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--no-trace", action="store_true", help="skip the traced runs")
     parser.add_argument("--change", default="", metavar="TEXT", help="what the change does")
-    parser.add_argument("--out", type=Path, metavar="FILE", help="default BENCH_<pr>.json")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
+    if len({git("rev-parse", f"{commit}^{{tree}}") for commit in commits.values()}) == 1:
+        parser.error(f"{args.parent} and HEAD have the same tree: nothing to compare")
 
-    parent_commit = git("rev-parse", args.parent)
-    worktree_root = None
-    parent_dir = args.parent_dir
-    if parent_dir is None:
-        worktree_root = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-        parent_dir = worktree_root / "parent"
-        git("worktree", "add", "--detach", str(parent_dir), parent_commit)
-    try:
-        sides = {"parent": parent_dir, "change": args.change_dir}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        sides = {side: extract(commit, Path(scratch) / side) for side, commit in commits.items()}
         command = f"python3 perfbench/run.py --workload W --seed {args.seed}"
         doc = {
             "pr": args.pr,
             "change": args.change,
-            "parent_commit": parent_commit,
+            "parent_commit": commits["parent"],
+            "change_commit": commits["change"],
             "end_to_end": {
-                "command": f"{command} --seconds {args.seconds:g}",
+                "command": command,
                 "method": f"{args.pairs} pairs per workload, alternating which side runs "
                           "first; median and quartiles of each side's runs",
                 "workloads": {},
@@ -126,22 +123,19 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench(sides[side], workload, args.seed, args.seconds, 0))
+                    runs[side].append(bench(sides[side], workload, args.seed, 0))
                     print(f"{workload} pair {pair + 1}/{args.pairs} {side}: "
                           f"op_p90_s {runs[side][-1]['metrics']['op_p90_s']['value']:.4f}",
                           file=sys.stderr)
             doc["end_to_end"]["workloads"][workload] = compare(runs["parent"], runs["change"])
         if not args.no_trace:
             doc["per_layer"] = {
-                "command": f"{command} --trace 1 --seconds {args.seconds:g}",
+                "command": f"{command} --trace 1",
                 "note": "one traced run per side and workload",
-                **{side: {w: traced(bench(path, w, args.seed, args.seconds, 1))
-                          for w in workloads} for side, path in sides.items()},
+                **{side: {w: traced(bench(path, w, args.seed, 1)) for w in workloads}
+                   for side, path in sides.items()},
             }
-    finally:
-        if worktree_root is not None:
-            git("worktree", "remove", "--force", str(parent_dir))
-            shutil.rmtree(worktree_root, ignore_errors=True)
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0
