@@ -1,16 +1,15 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr N --parent REV [--pairs 10] [--seed 1]
-        [--workload NAME ...] [--no-trace] [--change TEXT]
+    python3 tools/bench_pairs.py --pr N --parent REV --change TEXT
 
 Both sides are committed revisions, each extracted with ``git archive`` into
 a temporary directory: the parent is ``--parent`` and the change is HEAD.
-The two must differ in tree. For each workload the two sides run
-``perfbench/run.py`` for ``BENCHMARK.json``'s ``run_seconds`` in turn,
-``--pairs`` times, and the side that runs first alternates from pair to
-pair. Each run's end-to-end metrics are paired by index: ``change_wins``
-counts the pairs where the change is better. Unless ``--no-trace``, one
-``--trace 1`` run per side and workload records the per-layer metrics.
+The two must differ in tree. For each workload of ``BENCHMARK.json`` the
+two sides run ``perfbench/run.py`` with its defaults in turn, ``PAIRS``
+times, and the side that runs first alternates from pair to pair. Each
+run's end-to-end metrics are paired by index: ``change_wins`` counts the
+pairs where the change is better. Then one ``--trace 1`` run per side and
+workload records the per-layer metrics.
 
 Standard library only. The output has the schema of ``BENCH_5.json``.
 """
@@ -28,10 +27,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+PAIRS = 10
 
 
-def git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True,
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
@@ -44,11 +44,10 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def bench(checkout: Path, workload: str, trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its result line, plus its facts."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = done.stdout.splitlines()
@@ -60,7 +59,7 @@ def bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def summary(runs: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+    q1, _, q3 = statistics.quantiles(runs, n=4)
     return {"median": round(statistics.median(runs), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "runs": [round(value, 4) for value in runs]}
 
@@ -91,21 +90,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     parser.add_argument("--parent", required=True, metavar="REV",
                         help="the revision the change (HEAD) is compared with")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", metavar="NAME",
-                        help="workload to run (repeatable; default: all)")
-    parser.add_argument("--no-trace", action="store_true", help="skip the traced runs")
-    parser.add_argument("--change", default="", metavar="TEXT", help="what the change does")
+    parser.add_argument("--change", required=True, metavar="TEXT", help="what the change does")
     args = parser.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
+    workloads = [w["name"] for w in SPEC["workloads"]]
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     if len({git("rev-parse", f"{commit}^{{tree}}") for commit in commits.values()}) == 1:
         parser.error(f"{args.parent} and HEAD have the same tree: nothing to compare")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         sides = {side: extract(commit, Path(scratch) / side) for side, commit in commits.items()}
-        command = f"python3 perfbench/run.py --workload W --seed {args.seed}"
+        command = "python3 perfbench/run.py --workload W"
         doc = {
             "pr": args.pr,
             "change": args.change,
@@ -113,28 +107,27 @@ def main(argv=None) -> int:
             "change_commit": commits["change"],
             "end_to_end": {
                 "command": command,
-                "method": f"{args.pairs} pairs per workload, alternating which side runs "
+                "method": f"{PAIRS} pairs per workload, alternating which side runs "
                           "first; median and quartiles of each side's runs",
                 "workloads": {},
             },
         }
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench(sides[side], workload, args.seed, 0))
-                    print(f"{workload} pair {pair + 1}/{args.pairs} {side}: "
+                    runs[side].append(bench(sides[side], workload, 0))
+                    print(f"{workload} pair {pair + 1}/{PAIRS} {side}: "
                           f"op_p90_s {runs[side][-1]['metrics']['op_p90_s']['value']:.4f}",
                           file=sys.stderr)
             doc["end_to_end"]["workloads"][workload] = compare(runs["parent"], runs["change"])
-        if not args.no_trace:
-            doc["per_layer"] = {
-                "command": f"{command} --trace 1",
-                "note": "one traced run per side and workload",
-                **{side: {w: traced(bench(path, w, args.seed, 1)) for w in workloads}
-                   for side, path in sides.items()},
-            }
+        doc["per_layer"] = {
+            "command": f"{command} --trace 1",
+            "note": "one traced run per side and workload",
+            **{side: {w: traced(bench(path, w, 1)) for w in workloads}
+               for side, path in sides.items()},
+        }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
