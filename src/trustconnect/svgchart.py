@@ -7,7 +7,10 @@ always starts at 0 and tops out at the largest value in any series.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from html import escape
+from itertools import chain
 
 PALETTE = ("#4878a8", "#e8923c", "#6aa84f", "#a84848", "#7a5aa8")
 
@@ -17,39 +20,59 @@ _MARGIN_LEFT = 56
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 46
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_BASELINE = _MARGIN_TOP + _PLOT_H
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+@lru_cache(maxsize=1)
+def _bar_layout(labels: tuple[str, ...], n_series: int) -> str:
+    """Bar and label lines with ``%.2f`` slots for each bar's y and height, ``%`` doubled."""
+    group_w = _PLOT_W / max(len(labels), 1)
+    bar_w = group_w * 0.8 / max(n_series, 1)
+    width, label_y = _fmt(bar_w), _fmt(_BASELINE + 14)
+    lines = []
+    for gi, label in enumerate(labels):
+        gx = _MARGIN_LEFT + gi * group_w
+        for si in range(n_series):
+            lines.append(
+                f'<rect x="{_fmt(gx + group_w * 0.1 + si * bar_w)}" y="%.2f" '
+                f'width="{width}" height="%.2f" fill="{PALETTE[si % len(PALETTE)]}"/>\n'
+            )
+        lines.append(
+            f'<text x="{_fmt(gx + group_w / 2)}" y="{label_y}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="9">'
+            f'{escape(label, quote=False).replace("%", "%%")}</text>\n'
+        )
+    return "".join(lines)
+
+
 def grouped_bar_svg(
-    title: str,
-    labels: list[str],
-    series: list[tuple[str, list[float]]],
+    title: str, labels: list[str], series: list[tuple[str, list[float]]]
 ) -> str:
     """Render one grouped-bar chart: one group per label, one bar per series.
 
     ``series`` is an ordered list of (name, values) pairs; every values
-    list must have one entry per label.
+    list must have one entry per label, and every value must be finite.
     """
     for name, values in series:
         if len(values) != len(labels):
-            raise ValueError(
-                f"series {name!r} has {len(values)} values for {len(labels)} labels"
-            )
-    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
-    baseline = y0 + plot_h
-    peak = max(
-        (max(values) for _, values in series if values),
-        default=0.0,
-    )
+            raise ValueError(f"series {name!r} has {len(values)} values for {len(labels)} labels")
+        if not math.isfinite(sum(values)):  # a finite sum proves every value finite
+            for label, value in zip(labels, values):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"series {name!r} has non-finite value {value!r} for label {label!r}")
+    x0 = _MARGIN_LEFT
+    peak = max((max(values) for _, values in series if values), default=0.0)
     if peak <= 0:
         peak = 1.0
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
@@ -59,61 +82,38 @@ def grouped_bar_svg(
 
     # y axis with five gridline ticks, 0 through peak
     for step in range(5):
-        value = peak * step / 4
-        y = baseline - plot_h * step / 4
-        parts.append(
-            f'<line x1="{x0}" y1="{_fmt(y)}" x2="{x0 + plot_w}" y2="{_fmt(y)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
+        y = _BASELINE - _PLOT_H * step / 4
+        head += [
+            f'<line x1="{x0}" y1="{_fmt(y)}" x2="{x0 + _PLOT_W}" y2="{_fmt(y)}" '
+            f'stroke="#dddddd" stroke-width="1"/>',
             f'<text x="{x0 - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{value:.3g}</text>'
-        )
+            f'font-family="sans-serif" font-size="10">{peak * step / 4:.3g}</text>',
+        ]
 
-    # bars
-    if labels:
-        group_w = plot_w / len(labels)
-        bar_w = group_w * 0.8 / max(len(series), 1)
-        for gi, label in enumerate(labels):
-            gx = x0 + gi * group_w
-            for si, (_, values) in enumerate(series):
-                v = max(values[gi], 0.0)
-                bar_h = plot_h * v / peak
-                bx = gx + group_w * 0.1 + si * bar_w
-                parts.append(
-                    f'<rect x="{_fmt(bx)}" y="{_fmt(baseline - bar_h)}" '
-                    f'width="{_fmt(bar_w)}" height="{_fmt(bar_h)}" '
-                    f'fill="{PALETTE[si % len(PALETTE)]}"/>'
-                )
-            parts.append(
-                f'<text x="{_fmt(gx + group_w / 2)}" y="{_fmt(baseline + 14)}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="9">'
-                f"{escape(label, quote=False)}</text>"
-            )
+    # bars: per label, each series' y then height, filled into the layout that
+    # every chart with these labels and series count shares (a sweep's 16 do)
+    columns = []
+    for _, values in series:
+        heights = [_PLOT_H * (v if v >= 0.0 else 0.0) / peak for v in values]  # max(v, 0.0)
+        columns += ([_BASELINE - h for h in heights], heights)
+    bars = _bar_layout(tuple(labels), len(series)) % tuple(chain.from_iterable(zip(*columns)))
 
     # axis lines on top of the bars
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{baseline}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{baseline}" x2="{x0 + plot_w}" y2="{baseline}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
+    tail = [
+        f'<line x1="{x0}" y1="{_MARGIN_TOP}" x2="{x0}" y2="{_BASELINE}" '
+        f'stroke="#333333" stroke-width="1"/>',
+        f'<line x1="{x0}" y1="{_BASELINE}" x2="{x0 + _PLOT_W}" y2="{_BASELINE}" '
+        f'stroke="#333333" stroke-width="1"/>',
+    ]
 
     # legend, bottom-left under the axis
-    lx = x0
-    ly = baseline + 30
+    lx, ly = x0, _BASELINE + 30
     for si, (name, _) in enumerate(series):
-        parts.append(
+        tail += [
             f'<rect x="{_fmt(lx)}" y="{ly - 9}" width="10" height="10" '
-            f'fill="{PALETTE[si % len(PALETTE)]}"/>'
-        )
-        parts.append(
+            f'fill="{PALETTE[si % len(PALETTE)]}"/>',
             f'<text x="{_fmt(lx + 14)}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(name, quote=False)}</text>'
-        )
+            f'font-size="11">{escape(name, quote=False)}</text>',
+        ]
         lx += 20 + 7 * len(name)
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(head) + "\n" + bars + "\n".join(tail) + "\n</svg>\n"

@@ -11,7 +11,24 @@ run's end-to-end metrics are paired by index: ``change_wins`` counts the
 pairs where the change is better. Then one ``--trace 1`` run per side and
 workload records the per-layer metrics.
 
-Standard library only. The output has the schema of ``BENCH_5.json``.
+Each end-to-end metric's entry also records, besides both sides'
+summaries, ``change_wins`` and ``pairs``:
+
+* ``bound``: the metric's relative bound from ``BENCHMARK.json``;
+* ``spread``: the wider of the two sides' quartile distances, relative to
+  the parent's median;
+* ``claim_holds``: the change won at least nine tenths of the pairs, ties
+  counting for neither, and the medians differ in its favour by more than
+  the parent's quartile distance;
+* ``within_bound``: the change's median is no worse than the parent's by
+  more than ``bound``;
+* ``all_better``: every run of the change is better than every parent run;
+* ``verdict``: ``gain`` when the claim holds; else ``worse`` outside the
+  bound; else ``unresolved`` when the spread is wider than the bound and
+  not every change run is better; else ``no worse``.
+
+Standard library only. The output has the schema of ``BENCH_5.json``, plus
+those keys.
 """
 
 from __future__ import annotations
@@ -27,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 PAIRS = 10
 
 
@@ -64,15 +82,35 @@ def summary(runs: list[float]) -> dict:
             "q3": round(q3, 4), "runs": [round(value, 4) for value in runs]}
 
 
+def judge(before: list[float], after: list[float], better: str, bound: float) -> dict:
+    """One metric's entry: both sides' summaries, the pairs won, the rule checks, a verdict."""
+    sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
+    (p1, pm, p3), (c1, cm, c3) = (statistics.quantiles(runs, n=4) for runs in (before, after))
+    base = abs(pm) or 1.0
+    won = sum(sign * (a - b) > 0 for a, b in zip(before, after))
+    spread = max(p3 - p1, c3 - c1) / base
+    claim = 10 * won >= 9 * len(before) and sign * (pm - cm) > p3 - p1
+    within = sign * (cm - pm) <= bound * base
+    all_better = all(sign * (a - b) > 0 for a in before for b in after)
+    if claim:
+        word = "gain"
+    elif not within:
+        word = "worse"
+    elif spread > bound and not all_better:
+        word = "unresolved"
+    else:
+        word = "no worse"
+    return {"parent": summary(before), "change": summary(after), "change_wins": won,
+            "pairs": len(before), "bound": bound, "spread": round(spread, 4),
+            "claim_holds": claim, "within_bound": within, "all_better": all_better,
+            "verdict": word}
+
+
 def compare(parent: list[dict], change: list[dict]) -> dict:
-    """Per end-to-end metric, both sides' summaries and the pairs the change won."""
-    table = {}
-    for name, better in BETTER.items():
-        before = [run["metrics"][name]["value"] for run in parent]
-        after = [run["metrics"][name]["value"] for run in change]
-        won = sum((b < a) if better == "lower" else (b > a) for a, b in zip(before, after))
-        table[name] = {"parent": summary(before), "change": summary(after),
-                       "change_wins": won, "pairs": len(before)}
+    """Per end-to-end metric, the entry ``judge`` makes of both sides' runs."""
+    table = {name: judge([run["metrics"][name]["value"] for run in parent],
+                         [run["metrics"][name]["value"] for run in change], better, BOUND[name])
+             for name, better in BETTER.items()}
     table["correct"] = all(run["correct"] for run in parent + change)
     table["failed_ops"] = {"parent": sum(run["failed"] for run in parent),
                            "change": sum(run["failed"] for run in change)}
