@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustconnect.detector import (
     DETECTION_CSV_HEADER,
@@ -14,6 +15,7 @@ from trustconnect.detector import (
     detect,
 )
 from trustconnect.errors import GraphInvariantError, SnapshotMismatchError
+from trustconnect.experiment import reference_fixture
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
 from trustconnect.snapshot import (
     AttackSpec,
@@ -233,3 +235,85 @@ class TestSerialization:
         assert a.to_text() == b.to_text()
         assert a.to_csv() == b.to_csv()
         assert a.to_json() == b.to_json()
+
+
+_graphs = st.builds(
+    generate_random,
+    n=st.integers(2, 12),
+    edge_probability=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _attacked(graph, truth, nodes, mode, delta):
+    """The noise-free snapshot of a constant truth under one attack."""
+    attack = AttackSpec(compromised=frozenset(nodes), mode=mode, delta=delta)
+    scenario = ScenarioSpec(ground_truth=constant_ground_truth(graph, truth), attack=attack)
+    return synthesize_snapshot(graph, scenario)
+
+
+class TestClosedFormOracles:
+    """With no noise and a constant truth, an edge's deviation is the attack
+    delta or 0, so it contradicts exactly when delta > ln(1/w)/k. The margin
+    of 1e-3 around that threshold absorbs ``(c + delta) - c != delta``."""
+
+    @settings(max_examples=60)
+    @given(graph=_graphs, data=st.data(), k=st.floats(0.1, 5.0), w=st.floats(0.05, 0.95),
+           truth=st.floats(-100.0, 100.0), factor=st.floats(1.001, 20.0))
+    def test_self_injection_above_threshold_contradicts_every_out_neighbor(
+        self, graph, data, k, w, truth, factor
+    ):
+        node = data.draw(st.sampled_from(graph.node_ids), label="node")
+        snapshot = _attacked(graph, truth, {node}, "self-injection", factor * math.log(1 / w) / k)
+        report = detect(graph, snapshot, TrustParams(k=k, alpha=0.1),
+                        DetectorParams(weight_threshold=w))
+        out = tuple(j for i, j in graph.edges if i == node)
+        epsilon = {n.id: n.epsilon for n in graph.nodes}
+        evidence = 0.0
+        for j in out:  # left to right in edge order, as the detector adds
+            evidence += epsilon[j]
+        assert report.entry(node).contradicting_neighbors == out
+        assert report.entry(node).evidence == evidence
+        for entry in report.entries:
+            if entry.id != node:
+                assert entry.evidence == 0.0 and entry.contradicting_neighbors == ()
+
+    @settings(max_examples=60)
+    @given(graph=_graphs, data=st.data(), k=st.floats(0.1, 5.0), w=st.floats(0.05, 0.95),
+           truth=st.floats(-100.0, 100.0), factor=st.floats(0.0, 0.999))
+    def test_self_injection_below_threshold_contradicts_nothing(
+        self, graph, data, k, w, truth, factor
+    ):
+        node = data.draw(st.sampled_from(graph.node_ids), label="node")
+        snapshot = _attacked(graph, truth, {node}, "self-injection", factor * math.log(1 / w) / k)
+        report = detect(graph, snapshot, TrustParams(k=k, alpha=0.1),
+                        DetectorParams(weight_threshold=w))
+        assert all(e.contradicting_neighbors == () for e in report.entries)
+        assert report.flagged_ids() == ()
+
+    @pytest.mark.parametrize("delta, flagged", [(0.69, False), (0.70, True)])
+    def test_reference_node_2_flags_between_0_69_and_0_70(self, delta, flagged):
+        # k = 1, w = 0.5: the threshold deviation is ln 2 = 0.693
+        graph, scenario = reference_fixture()
+        truth = scenario.ground_truth[2]
+        report = detect(graph, _attacked(graph, truth, {2}, "self-injection", delta), PARAMS)
+        entry = report.entry(2)
+        assert entry.flagged == flagged
+        if flagged:
+            assert entry.contradicting_neighbors == tuple(j for i, j in graph.edges if i == 2)
+            assert entry.evidence == pytest.approx(3.53, abs=1e-12)
+        else:
+            assert entry.evidence == 0.0 and entry.contradicting_neighbors == ()
+
+    @settings(max_examples=60)
+    @given(graph=_graphs, data=st.data(), k=st.floats(0.1, 5.0), w=st.floats(0.05, 0.95),
+           truth=st.floats(-100.0, 100.0), delta=st.floats(0.0, 50.0))
+    def test_inference_corruption_is_only_ever_blamed_on_the_corrupting_set(
+        self, graph, data, k, w, truth, delta
+    ):
+        corrupt = data.draw(st.sets(st.sampled_from(graph.node_ids), min_size=1), label="S")
+        snapshot = _attacked(graph, truth, corrupt, "inference-corruption", delta)
+        report = detect(graph, snapshot, TrustParams(k=k, alpha=0.1),
+                        DetectorParams(weight_threshold=w))
+        for entry in report.entries:
+            assert set(entry.contradicting_neighbors) <= corrupt
