@@ -63,7 +63,6 @@ from .trust import (
     TrustReport,
     adjusted_trust,
     baseline_trust,
-    edge_weight,
     full_report,
     trust_scores,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "constant_ground_truth",
     "detect",
     "deviations",
-    "edge_weight",
     "emit_figure_data",
     "full_report",
     "generate_random",

@@ -153,9 +153,10 @@ def cmd_eval(args) -> int:
     snapshot = _resolve_snapshot(args, graph)
     params = TrustParams(k=args.k, alpha=args.alpha, c0=args.c0, mode=args.mode)
     report = full_report(graph, snapshot, params)
+    svg = None if args.svg is None else report.to_svg()  # a refused chart writes nothing
     _emit(report, args)
-    if args.svg is not None:
-        Path(args.svg).write_text(report.to_svg(), encoding="utf-8", newline="\n")
+    if svg is not None:
+        Path(args.svg).write_text(svg, encoding="utf-8", newline="\n")
     return 0
 
 
@@ -229,15 +230,16 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # one parent per shared flag, so each command takes only those it reads
+    seed, output_dir, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument(
         "--seed", type=int, default=None,
         help="seed for randomized inputs (fallback: TRUSTCONNECT_SEED, then 0)",
     )
-    common.add_argument(
+    output_dir.add_argument(
         "--output-dir", default=".", metavar="DIR", help="directory for written files"
     )
-    common.add_argument(
+    fmt.add_argument(
         "--format", choices=("text", "csv", "json"), default="text",
         help="stdout/report format",
     )
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "generate", parents=[common], help="write a seeded random dependency graph"
+        "generate", parents=[seed, output_dir], help="write a seeded random dependency graph"
     )
     p.add_argument("--n", type=int, default=20, help="node count (default 20)")
     p.add_argument(
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "eval", parents=[common], help="trust report for one graph and snapshot"
+        "eval", parents=[seed, fmt], help="trust report for one graph and snapshot"
     )
     p.add_argument("--graph", required=True, metavar="FILE", help="graph file")
     _add_scenario_flags(p)
@@ -280,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="run a (k, alpha) grid from a sweep spec file"
+        "sweep", parents=[output_dir], help="run a (k, alpha) grid from a sweep spec file"
     )
     p.add_argument("spec", help="sweep spec file")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "detect", parents=[common], help="rank ECUs by contradiction evidence"
+        "detect", parents=[seed, fmt], help="rank ECUs by contradiction evidence"
     )
     p.add_argument("--graph", required=True, metavar="FILE", help="graph file")
     _add_scenario_flags(p)
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser(
-        "fixture", parents=[common],
+        "fixture", parents=[output_dir],
         help="write the bundled reference graph, scenario, and sweep spec",
     )
     p.set_defaults(func=cmd_fixture)

@@ -70,17 +70,6 @@ class DependencyGraph:
     def node_ids(self) -> tuple[int, ...]:
         return tuple(node.id for node in self.nodes)
 
-    def epsilons(self) -> dict[int, float]:
-        return {node.id: node.epsilon for node in self.nodes}
-
-    def out_adjacency(self) -> dict[int, list[int]]:
-        """Out-neighbor lists for every node, ascending (one O(E) pass)."""
-        adjacency: dict[int, list[int]] = {node.id: [] for node in self.nodes}
-        for i, j in self.edges:
-            if i in adjacency:
-                adjacency[i].append(j)
-        return adjacency
-
     @cached_property
     def compiled(self) -> CompiledGraph:
         """The flat form the evaluation loops run on, built on first use."""

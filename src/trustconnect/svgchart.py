@@ -71,6 +71,8 @@ def grouped_bar_svg(
     peak = max((max(values) for _, values in series if values), default=0.0)
     if peak <= 0:
         peak = 1.0
+    if not math.isfinite(_PLOT_H * peak):  # below this, every height and tick is finite
+        raise ValueError(f"peak value {peak!r} is too large to chart")
 
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

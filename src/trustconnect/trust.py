@@ -88,17 +88,8 @@ class TrustParams:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
-def edge_weight(d: float, k: float) -> float:
-    """Weight of an edge with deviation d under decay factor k: exp(-k*d)."""
-    if d < 0:
-        raise ValueError(f"deviation must be >= 0, got {d}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return math.exp(-k * d)
-
-
 def edge_weights(devs: Iterable[float], k: float) -> list[float]:
-    """:func:`edge_weight` over edge-aligned deviations.
+    """Edge weights exp(-k * d) for edge-aligned deviations d.
 
     Unchecked: deviations are absolute values and TrustParams holds k
     finite and non-negative.
@@ -288,15 +279,6 @@ class TrustReport:
             if entry.id == node_id:
                 return entry
         raise ValueError(f"unknown node id {node_id}")
-
-    def btv(self) -> dict[int, float]:
-        return {e.id: e.btv for e in self.entries}
-
-    def trust(self) -> dict[int, float]:
-        return {e.id: e.trust for e in self.entries}
-
-    def eatv(self) -> dict[int, float]:
-        return {e.id: e.eatv for e in self.entries}
 
     def to_text(self) -> str:
         lines = [REPORT_HEADER]

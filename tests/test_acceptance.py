@@ -38,7 +38,7 @@ from trustconnect.trust import (
     TrustParams,
     adjusted_trust,
     baseline_trust,
-    edge_weight,
+    edge_weights,
     full_report,
     trust_scores,
 )
@@ -186,7 +186,7 @@ def test_criterion_4_resilience_narrative(announce):
         "than exposed ones in all 16 grid cells, within the (1-eps) bound",
     ):
         graph, scenario = reference_fixture()
-        epsilons = graph.epsilons()
+        epsilons = {n.id: n.epsilon for n in graph.nodes}
         with Stopwatch() as watch:
             result = run_sweep_on(graph, scenario)
             summary = check_gap_ordering(result)
@@ -222,10 +222,10 @@ def test_criterion_5_k_insensitivity(announce):
                 d = di / 100.0
                 for k1i in range(21):
                     k1 = k1i / 100.0
-                    w1 = edge_weight(d, k1)
+                    [w1] = edge_weights([d], k1)
                     for k2i in range(k1i, 21):
                         k2 = k2i / 100.0
-                        gap = abs(w1 - edge_weight(d, k2))
+                        gap = abs(w1 - edge_weights([d], k2)[0])
                         assert gap <= 0.2
                         assert gap <= d * (k2 - k1) + 1e-15
                         observed_max = max(observed_max, gap)
@@ -244,7 +244,8 @@ def test_criterion_6_alpha_monotonicity(announce):
             result = run_sweep_on(graph, scenario)
             for k in DEFAULT_K_VALUES:
                 columns = [
-                    result.report(k, a).trust() for a in DEFAULT_ALPHA_VALUES
+                    {e.id: e.trust for e in result.report(k, a).entries}
+                    for a in DEFAULT_ALPHA_VALUES
                 ]
                 for earlier, later in zip(columns, columns[1:]):
                     for i in graph.node_ids:
@@ -270,8 +271,8 @@ def test_criterion_7_detector_soundness(announce):
             while collected < 100:
                 seed += 1
                 graph = generate_random(n=20, edge_probability=0.2, seed=seed)
-                epsilons = graph.epsilons()
-                adjacency = graph.out_adjacency()
+                epsilons = {n.id: n.epsilon for n in graph.nodes}
+                adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
                 candidates = [
                     i for i in graph.node_ids
                     if sum(1 for j in adjacency[i] if epsilons[j] >= 0.5) >= 2

@@ -99,3 +99,38 @@ def test_compare_judges_every_metric_against_its_own_bound(name):
     assert table[name]["bound"] == bench_pairs.BOUND[name]
     assert table[name]["verdict"] == "gain"
     assert table["correct"] and table["failed_ops"] == {"parent": 0, "change": 0}
+
+
+def traced_runs(values: list[float], failed: int = 0) -> list[dict]:
+    """Traced runs whose render layer reads the given values in turn."""
+    return [{"facts": {"seed": 1}, "correct": failed == 0, "attempted": 4, "failed": failed,
+             "metrics": {"svgchart.render_s": {"value": v}, "graph.nodes": {"value": 2000.0}}}
+            for v in values]
+
+
+def test_layers_records_each_layers_median_quartiles_and_runs():
+    entry = bench_pairs.layers(traced_runs([0.30, 0.10, 0.20]))
+    render = entry["metrics"]["svgchart.render_s"]
+    assert render == {"median": 0.2, "q1": 0.1, "q3": 0.3, "runs": [0.3, 0.1, 0.2]}
+    assert entry["metrics"]["graph.nodes"]["runs"] == [2000.0] * 3
+    assert entry["correct"] and entry["attempted"] == 12 and entry["failed"] == 0
+    assert entry["facts"] == {"seed": 1}
+
+
+def test_a_failed_traced_run_makes_the_side_incorrect():
+    entry = bench_pairs.layers(traced_runs([0.1, 0.2]) + traced_runs([0.3], failed=1))
+    assert not entry["correct"] and entry["failed"] == 1
+
+
+def test_traced_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = []
+
+    def bench(checkout, workload, trace):
+        calls.append((checkout, workload, trace))
+        return {"metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    runs = bench_pairs.alternate({"parent": "P", "change": "C"}, "w", bench_pairs.TRACED_PAIRS, 1)
+    assert [checkout for checkout, _, _ in calls] == ["P", "C", "C", "P", "P", "C"]
+    assert {(workload, trace) for _, workload, trace in calls} == {("w", 1)}
+    assert len(runs["parent"]) == len(runs["change"]) == bench_pairs.TRACED_PAIRS == 3

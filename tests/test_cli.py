@@ -6,6 +6,7 @@ captured stdout/stderr, the same contract scripts and CI see.
 
 import gc
 import json
+import re
 import xml.etree.ElementTree as ElementTree
 from dataclasses import replace
 from importlib import resources
@@ -220,6 +221,19 @@ class TestEval:
         root = ElementTree.fromstring(svg.read_text(encoding="utf-8"))
         assert root.tag.endswith("svg")
 
+    def test_chart_whose_bars_overflow_exits_2_writing_nothing(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        svg, out = tmp_path / "chart.svg", tmp_path / "report.txt"
+        args = ["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                "--c0", "1e307", "--alpha", "0.5", "--svg", str(svg)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large to chart" in captured.err
+        assert main(args + ["--out", str(out)]) == 2
+        assert not svg.exists() and not out.exists()
+
     def test_stdout_is_byte_deterministic(self, fixture_dir, capsys):
         args = ["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
                 "--scenario-file", str(fixture_dir / "reference_scenario.txt")]
@@ -400,6 +414,17 @@ class TestFixture:
         assert spec.alpha_values == (0.05, 0.1, 0.2, 0.4)
 
 
+# the flags that several commands share, each with a value it accepts
+SHARED_FLAG_VALUES = {"--seed": "1", "--output-dir": ".", "--format": "json"}
+SHARED_FLAGS_READ = {
+    "generate": {"--seed", "--output-dir"},
+    "eval": {"--seed", "--format"},
+    "detect": {"--seed", "--format"},
+    "sweep": {"--output-dir"},
+    "fixture": {"--output-dir"},
+}
+
+
 class TestParsing:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
@@ -407,15 +432,47 @@ class TestParsing:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["generate", "--bogus"]) == 2
 
-    @pytest.mark.parametrize(
-        "command", ["generate", "eval", "sweep", "detect", "fixture"]
-    )
-    def test_help_exits_0_and_lists_global_flags(self, command, capsys):
+    @pytest.mark.parametrize("command", sorted(SHARED_FLAGS_READ))
+    def test_help_lists_exactly_its_shared_flags(self, command, capsys):
         assert main([command, "--help"]) == 0
-        out = capsys.readouterr().out
-        assert "--format" in out
-        assert "--seed" in out
-        assert "--output-dir" in out
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed & set(SHARED_FLAG_VALUES) == SHARED_FLAGS_READ[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, read in SHARED_FLAGS_READ.items()
+        for flag in SHARED_FLAG_VALUES if flag not in read
+    ])
+    def test_a_shared_flag_the_command_does_not_read_exits_2(
+        self, command, flag, fixture_dir, tmp_path, capsys
+    ):
+        graph, out = str(fixture_dir / "reference_graph.txt"), tmp_path / "out"
+        valid = {
+            "generate": ["--out", str(out / "g.txt")],
+            "eval": ["--graph", graph],
+            "detect": ["--graph", graph],
+            "sweep": [str(fixture_dir / "reference_sweep.txt"), "--output-dir", str(out)],
+            "fixture": ["--output-dir", str(out)],
+        }[command]
+        value = SHARED_FLAG_VALUES[flag]
+        assert main([command, *valid, flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "detect"])
+    def test_seed_seeds_the_synthesized_scenario(self, command, fixture_dir, capsys, monkeypatch):
+        base = [command, "--graph", str(fixture_dir / "reference_graph.txt"),
+                "--noise-sigma", "0.5"]
+
+        def stdout(*flags):
+            assert main([*base, *flags]) == 0
+            return capsys.readouterr().out
+
+        seeded = stdout("--seed", "3")
+        assert stdout("--scenario-seed", "3") == seeded
+        monkeypatch.setenv("TRUSTCONNECT_SEED", "3")
+        assert stdout() == seeded
+        monkeypatch.delenv("TRUSTCONNECT_SEED")
+        assert stdout("--seed", "4") != seeded
 
 
 class TestCyclicCollector:

@@ -139,8 +139,8 @@ class TestEvidence:
             seed=seed,
         )
         report = detect(graph, synthesize_snapshot(graph, scenario), PARAMS)
-        epsilons = graph.epsilons()
-        adjacency = graph.out_adjacency()
+        epsilons = {n.id: n.epsilon for n in graph.nodes}
+        adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
         for e in report.entries:
             cap = sum(epsilons[j] for j in adjacency[e.id])
             assert 0.0 <= e.evidence <= cap + 1e-12
@@ -173,8 +173,8 @@ class TestRanking:
 
     def test_self_injected_node_ranks_first(self):
         graph = generate_random(n=20, edge_probability=0.25, seed=21)
-        adjacency = graph.out_adjacency()
-        epsilons = graph.epsilons()
+        adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
+        epsilons = {n.id: n.epsilon for n in graph.nodes}
         target = max(
             adjacency,
             key=lambda i: sum(epsilons[j] for j in adjacency[i]),

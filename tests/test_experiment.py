@@ -90,9 +90,7 @@ class TestRunSweep:
         assert set(result.reports) == {(1.0, 0.2)}
         direct = full_report(graph, result.snapshot, TrustParams(k=1.0, alpha=0.2))
         cell = result.report(1.0, 0.2)
-        assert cell.btv() == direct.btv()
-        assert cell.trust() == direct.trust()
-        assert cell.eatv() == direct.eatv()
+        assert cell.entries == direct.entries
 
     def test_clean_scenario_keeps_trust_at_baseline_in_every_cell(self):
         graph = generate_random(n=12, edge_probability=0.25, seed=6)
@@ -152,7 +150,7 @@ class TestReferenceFixture:
 
     def test_pinned_topology(self):
         graph, _ = reference_fixture()
-        adjacency = graph.out_adjacency()
+        adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
         assert adjacency[2] == [1, 4, 5, 11, 13, 17]
         assert len(adjacency[5]) == 3
         assert len(adjacency[13]) == 4
@@ -160,7 +158,7 @@ class TestReferenceFixture:
 
     def test_pinned_epsilons(self):
         graph, _ = reference_fixture()
-        epsilons = graph.epsilons()
+        epsilons = {n.id: n.epsilon for n in graph.nodes}
         for i in (5, 13, 18):
             assert epsilons[i] >= 0.9
         for i in (2, 9):
@@ -170,8 +168,8 @@ class TestReferenceFixture:
         graph, scenario = reference_fixture()
         assert scenario.attack is not None
         assert scenario.attack.mode == "inference-corruption"
-        neighbors = set(graph.out_adjacency()[2])
-        epsilons = graph.epsilons()
+        neighbors = {j for i, j in graph.edges if i == 2}
+        epsilons = {n.id: n.epsilon for n in graph.nodes}
         assert scenario.attack.compromised <= neighbors
         assert all(epsilons[i] <= 0.3 for i in scenario.attack.compromised)
 

@@ -295,8 +295,8 @@ def test_compiled_rows_match_out_adjacency(seed):
     g = generate_random(n=15, edge_probability=0.25, seed=seed)
     cg = g.compiled
     assert cg.ids == g.node_ids
-    assert cg.epsilons == tuple(g.epsilons()[i] for i in cg.ids)
-    adjacency = g.out_adjacency()
+    assert cg.epsilons == tuple(n.epsilon for n in g.nodes)
+    adjacency = {n.id: [j for i, j in g.edges if i == n.id] for n in g.nodes}
     for k, i in enumerate(cg.ids):
         row = range(cg.offsets[k], cg.offsets[k + 1])
         assert [cg.ids[cg.dst[e]] for e in row] == adjacency[i]

@@ -3,6 +3,7 @@ differential test against the emitter as it was before the bar layout was
 shared between charts."""
 
 import math
+import re
 import xml.etree.ElementTree as ET
 from html import escape
 
@@ -88,15 +89,23 @@ def test_non_finite_value_rejected_naming_series_and_label(bad):
 
 def test_rejected_chart_does_no_layout_work():
     before = svgchart._bar_layout.cache_info()
-    for series in ([("s", [1.0])], [("s", [1.0, math.nan])]):
+    for series in ([("s", [1.0])], [("s", [1.0, math.nan])], [("s", [1e308, 1.0])]):
         with pytest.raises(ValueError):
             grouped_bar_svg("demo", ["never", "drawn"], series)
     assert svgchart._bar_layout.cache_info() == before
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
-    svg = grouped_bar_svg("demo", ["a", "b"], [("s", [1e308, 1e308])])
-    assert svg == _reference_svg("demo", ["a", "b"], [("s", [1e308, 1e308])])
+    # the bulk finite check is a sum: this one overflows, yet every bar is finite
+    labels = [f"E{i}" for i in range(400)]
+    series = [("s", [6e305] * 400)]
+    assert math.isinf(sum(series[0][1]))
+    assert grouped_bar_svg("demo", labels, series) == _reference_svg("demo", labels, series)
+
+
+def test_a_peak_whose_bar_height_overflows_is_rejected_naming_it():
+    with pytest.raises(ValueError, match=r"^peak value 1e\+308 is too large to chart$"):
+        grouped_bar_svg("demo", ["a", "b"], [("s", [1e308, 1e308])])
 
 
 def _reference_svg(title, labels, series):
@@ -172,6 +181,8 @@ def _reference_svg(title, labels, series):
 # text that the % template and the XML escape both have to get right
 _texts = st.text(alphabet=["a", "%", "s", "d", "(", ")", "&", "<", ">", '"', "'", " ",
                            "\u00e9", "\u6f22", "\U0001f697"], max_size=5)
+# a non-finite number as an attribute value or a tick label (no text draws "i", "n" or "f")
+_NON_FINITE = re.compile(r'"-?(inf|nan)"|>-?(inf|nan)<')
 _values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 0, 1, -1]),
@@ -191,4 +202,9 @@ def test_every_chart_matches_the_reference_byte_for_byte(data, label_lists):
                                             max_size=len(labels)), label="values"))
                   for name in names]
         title = data.draw(_texts, label="title")
-        assert grouped_bar_svg(title, labels, series) == _reference_svg(title, labels, series)
+        reference = _reference_svg(title, labels, series)
+        if _NON_FINITE.search(reference):  # the tallest bar's height overflowed
+            with pytest.raises(ValueError, match="too large to chart"):
+                grouped_bar_svg(title, labels, series)
+        else:
+            assert grouped_bar_svg(title, labels, series) == reference

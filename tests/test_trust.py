@@ -14,6 +14,7 @@ from trustconnect.snapshot import (
     ScenarioSpec,
     Snapshot,
     constant_ground_truth,
+    edge_deviations,
     synthesize_snapshot,
 )
 from trustconnect.trust import (
@@ -26,7 +27,7 @@ from trustconnect.trust import (
     TrustReport,
     adjusted_trust,
     baseline_trust,
-    edge_weight,
+    edge_weights,
     full_report,
     json_text,
     trust_scores,
@@ -50,38 +51,42 @@ def exact_snapshot(graph, truth):
 
 class TestEdgeWeight:
     def test_zero_deviation_is_exactly_one(self):
-        assert edge_weight(0.0, 2.0) == 1.0
+        assert edge_weights([0.0], 2.0) == [1.0]
 
     def test_zero_k_ignores_deviation(self):
-        assert edge_weight(123.4, 0.0) == 1.0
+        assert edge_weights([123.4], 0.0) == [1.0]
 
     def test_known_value(self):
         # k * d = 1 in both cases
-        assert edge_weight(2.0, 0.5) == 0.36787944117144233
-        assert edge_weight(1.0, 1.0) == 0.36787944117144233
+        assert edge_weights([2.0], 0.5) == [0.36787944117144233]
+        assert edge_weights([1.0], 1.0) == [0.36787944117144233]
 
     def test_monotone_in_deviation(self):
-        weights = [edge_weight(d, 1.0) for d in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        weights = edge_weights([0.0, 0.5, 1.0, 2.0, 4.0], 1.0)
         assert weights == sorted(weights, reverse=True)
 
     def test_monotone_in_k(self):
-        weights = [edge_weight(1.5, k) for k in (0.0, 0.1, 0.5, 1.0, 2.0)]
+        weights = [edge_weights([1.5], k)[0] for k in (0.0, 0.1, 0.5, 1.0, 2.0)]
         assert weights == sorted(weights, reverse=True)
 
-    def test_rejects_negative_deviation(self):
-        with pytest.raises(ValueError):
-            edge_weight(-0.1, 1.0)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            edge_weight(0.1, -1.0)
+    @given(
+        observed=st.floats(min_value=-1e6, max_value=1e6),
+        inferred=st.floats(min_value=-1e6, max_value=1e6),
+    )
+    def test_deviations_it_is_given_are_never_negative(self, observed, inferred):
+        # edge_weights does not check its input; edge_deviations is what feeds it
+        graph = build([(0, 0.5), (1, 0.5)], [(0, 1)])
+        snapshot = Snapshot(observed={0: observed, 1: 0.0}, inferred={(0, 1): inferred})
+        [d] = edge_deviations(graph, snapshot)
+        assert d >= 0.0
+        assert edge_weights([d], 1.0)[0] <= 1.0
 
     @given(
         d=st.floats(min_value=0.0, max_value=100.0),
         k=st.floats(min_value=0.0, max_value=5.0),
     )
     def test_bounded(self, d, k):
-        w = edge_weight(d, k)
+        [w] = edge_weights([d], k)
         assert 0.0 < w <= 1.0
 
 
@@ -220,8 +225,8 @@ def dict_reference(graph, snapshot, params):
     Returns (trust, btv, converged) with every float computed in the
     original order, so the compiled core must match it exactly.
     """
-    epsilons = graph.epsilons()
-    adjacency = graph.out_adjacency()
+    epsilons = {n.id: n.epsilon for n in graph.nodes}
+    adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
 
     def propagate(weights):
         if params.mode == "single-pass":
@@ -288,8 +293,8 @@ class TestCompiledCoreMatchesDictReference:
             report = full_report(graph, snapshot, params)
             assert trust_scores(graph, snapshot, params) == trust
             assert baseline_trust(graph, params) == btv
-        assert report.trust() == trust
-        assert report.btv() == btv
+        assert {e.id: e.trust for e in report.entries} == trust
+        assert {e.id: e.btv for e in report.entries} == btv
         assert report.converged is converged
 
 
@@ -352,7 +357,7 @@ class TestBaselineMemo:
 class TestBaseline:
     def test_alpha_zero_baseline_is_out_degree(self):
         graph = generate_random(n=12, edge_probability=0.3, seed=3)
-        adjacency = graph.out_adjacency()
+        adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
         baseline = baseline_trust(graph, TrustParams(k=2.0, alpha=0.0))
         for i, neighbors in adjacency.items():
             assert baseline[i] == float(len(neighbors))
@@ -468,7 +473,7 @@ class TestMonotonicity:
         )
         low = trust_scores(graph, snapshot, TrustParams(k=1.0, alpha=0.05))
         high = trust_scores(graph, snapshot, TrustParams(k=1.0, alpha=0.4))
-        adjacency = graph.out_adjacency()
+        adjacency = {n.id: [j for i, j in graph.edges if i == n.id] for n in graph.nodes}
         for i, neighbors in adjacency.items():
             if neighbors:
                 assert high[i] > low[i]
@@ -510,7 +515,7 @@ class TestFullReport:
         graph = build([(0, 0.4), (1, 0.6)], [])
         snapshot = exact_snapshot(graph, {0: 1.0, 1: 2.0})
         report = full_report(graph, snapshot, TrustParams(k=1.0, alpha=0.1))
-        assert report.btv() == {0: 0.0, 1: 0.0}
+        assert [e.btv for e in report.entries] == [0.0, 0.0]
         assert report.network_trust == 1.0
 
     def test_zero_epsilon_everywhere_falls_back_to_plain_mean(self):

@@ -8,8 +8,10 @@ The two must differ in tree. For each workload of ``BENCHMARK.json`` the
 two sides run ``perfbench/run.py`` with its defaults in turn, ``PAIRS``
 times, and the side that runs first alternates from pair to pair. Each
 run's end-to-end metrics are paired by index: ``change_wins`` counts the
-pairs where the change is better. Then one ``--trace 1`` run per side and
-workload records the per-layer metrics.
+pairs where the change is better. Then ``TRACED_PAIRS`` pairs of ``--trace 1``
+runs per workload, alternating in the same way, record the per-layer
+metrics: each side's median, quartiles and runs of every layer, so a layer's
+move can be told from its run-to-run spread.
 
 Each end-to-end metric's entry also records, besides both sides'
 summaries, ``change_wins`` and ``pairs``:
@@ -46,6 +48,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def git(*args: str) -> str:
@@ -74,6 +77,18 @@ def bench(checkout: Path, workload: str, trace: int) -> dict:
     result = json.loads(lines[-1])
     facts = [json.loads(line[len("facts "):]) for line in lines if line.startswith("facts ")]
     return {"facts": facts[0] if facts else None, **result}
+
+
+def alternate(sides: dict, workload: str, pairs: int, trace: int) -> dict:
+    """Each side's runs of ``workload``, in pairs whose first side alternates."""
+    runs = {"parent": [], "change": []}
+    for pair in range(pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            run = bench(sides[side], workload, trace)
+            runs[side].append(run)
+            shown = "traced" if trace else f"op_p90_s {run['metrics']['op_p90_s']['value']:.4f}"
+            print(f"{workload} pair {pair + 1}/{pairs} {side}: {shown}", file=sys.stderr)
+    return runs
 
 
 def summary(runs: list[float]) -> dict:
@@ -117,10 +132,13 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     return table
 
 
-def traced(run: dict) -> dict:
-    return {"facts": run["facts"], "correct": run["correct"], "attempted": run["attempted"],
-            "failed": run["failed"],
-            "metrics": {name: entry["value"] for name, entry in run["metrics"].items()}}
+def layers(runs: list[dict]) -> dict:
+    """One side's traced runs of a workload: the ``summary`` of every per-layer metric."""
+    return {"facts": runs[0]["facts"], "correct": all(run["correct"] for run in runs),
+            "attempted": sum(run["attempted"] for run in runs),
+            "failed": sum(run["failed"] for run in runs),
+            "metrics": {name: summary([run["metrics"][name]["value"] for run in runs])
+                        for name in runs[0]["metrics"]}}
 
 
 def main(argv=None) -> int:
@@ -151,20 +169,14 @@ def main(argv=None) -> int:
             },
         }
         for workload in workloads:
-            runs = {"parent": [], "change": []}
-            for pair in range(PAIRS):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(bench(sides[side], workload, 0))
-                    print(f"{workload} pair {pair + 1}/{PAIRS} {side}: "
-                          f"op_p90_s {runs[side][-1]['metrics']['op_p90_s']['value']:.4f}",
-                          file=sys.stderr)
+            runs = alternate(sides, workload, PAIRS, 0)
             doc["end_to_end"]["workloads"][workload] = compare(runs["parent"], runs["change"])
+        traced = {workload: alternate(sides, workload, TRACED_PAIRS, 1) for workload in workloads}
         doc["per_layer"] = {
             "command": f"{command} --trace 1",
-            "note": "one traced run per side and workload",
-            **{side: {w: traced(bench(path, w, 1)) for w in workloads}
-               for side, path in sides.items()},
+            "note": f"{TRACED_PAIRS} traced pairs per workload, alternating which side "
+                    "runs first; median, quartiles and runs of each side's layers",
+            **{side: {w: layers(traced[w][side]) for w in workloads} for side in sides},
         }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

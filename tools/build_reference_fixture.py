@@ -121,10 +121,17 @@ def build_scenario(graph) -> ScenarioSpec:
     )
 
 
+def topology(graph):
+    """Epsilon and ascending out-neighbor ids per node id, read off the compiled graph."""
+    cg = graph.compiled
+    rows = zip(cg.ids, cg.offsets, cg.offsets[1:])
+    adjacency = {i: [cg.ids[j] for j in cg.dst[start:end]] for i, start, end in rows}
+    return dict(zip(cg.ids, cg.epsilons)), adjacency
+
+
 def spectral_radius(graph, alpha, iterations=200):
     """Power iteration on the trust recursion's linear part."""
-    epsilons = graph.epsilons()
-    adjacency = graph.out_adjacency()
+    epsilons, adjacency = topology(graph)
     v = {i: 1.0 for i in adjacency}
     radius = 0.0
     for _ in range(iterations):
@@ -140,8 +147,7 @@ def spectral_radius(graph, alpha, iterations=200):
 
 
 def verify(graph, scenario):
-    adjacency = graph.out_adjacency()
-    epsilons = graph.epsilons()
+    epsilons, adjacency = topology(graph)
     assert tuple(adjacency[2]) == PINNED_OUT[2]
     assert len(adjacency[5]) == 3
     assert len(adjacency[13]) == 4
