@@ -30,7 +30,8 @@ summaries, ``change_wins`` and ``pairs``:
   not every change run is better; else ``no worse``.
 
 Standard library only. The output has the schema of ``BENCH_5.json``, plus
-those keys.
+those keys, except that each per-layer metric is a ``summary`` of the traced
+runs rather than one value, and ``attempted`` and ``failed`` are their sums.
 """
 
 from __future__ import annotations
