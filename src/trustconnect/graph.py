@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import eq, itemgetter
+from operator import eq, itemgetter, lt
 from pathlib import Path
 
 from .errors import GraphInvariantError, RecordReader, is_one_field, read_columns
@@ -72,7 +72,7 @@ class DependencyGraph:
 
     @cached_property
     def compiled(self) -> CompiledGraph:
-        """The flat form the evaluation loops run on, built on first use."""
+        """The flat form the evaluation loops run on, built on first use unless read in bulk."""
         return _compile(self)
 
 
@@ -134,15 +134,17 @@ def _is_valid(graph: DependencyGraph) -> bool:
     return (
         len(known) == len(ids)
         and min(ids, default=0) >= 0
-        and all(
-            0.0 <= node.epsilon <= 1.0 and is_one_field(node.label) and "," not in node.label
-            for node in graph.nodes
-        )
+        and _nodes_valid(graph.nodes)
         and not any(map(eq, sources, targets))
         and not any(map(eq, edges, islice(edges, 1, None)))
         and known.issuperset(sources)
         and known.issuperset(targets)
     )
+
+
+def _nodes_valid(nodes) -> bool:
+    return all(0.0 <= n.epsilon <= 1.0 and is_one_field(n.label) and "," not in n.label
+               for n in nodes)
 
 
 def _violations(graph: DependencyGraph) -> list[str]:
@@ -277,25 +279,36 @@ def from_text(text: str, path: str | None = None) -> DependencyGraph:
 
 
 def _read_canonical(text: str) -> DependencyGraph | None:
-    """The valid graph of a document in ``to_text``'s layout, read in bulk; else None.
+    """The valid graph of a document in ``to_text``'s layout, read in bulk and compiled; else None.
 
-    Edge endpoints are looked up by node id text, reusing the nodes' ints.
+    Canonical order is proved, not restored. Endpoints are looked up by id text as node positions.
     """
     # a comment or a tab anywhere leaves the document to the reader at once
     if "#" in text or "\t" in text:
         return None
     lines = text.splitlines()
     stop = 1 + text.count("\nnode ")
-    nodes = lines[:1] == [GRAPH_HEADER] and read_columns(
+    columns = lines[:1] == [GRAPH_HEADER] and read_columns(
         lines, 1, stop, ("node", int, str, float))
-    index = nodes and dict(zip(map(str, nodes[0]), nodes[0]))
-    edges = nodes and read_columns(
+    index = columns and dict(zip(map(str, columns[0]), range(len(columns[0]))))
+    edge_columns = columns and read_columns(
         lines, stop, len(lines), ("edge", index.__getitem__, index.__getitem__))
-    if not edges:
+    if not edge_columns:
         return None
     del lines  # freed before the graph is built: 44 -> 31 MB peak at 200k edges
-    graph = DependencyGraph(nodes=tuple(map(EcuNode, *nodes)), edges=tuple(zip(*edges)))
-    return graph if _is_valid(graph) else None
+    (ids, labels, epsilons), (sources, targets) = columns, edge_columns
+    # the edges reuse the nodes' ints; as ids ascend, positions order them alike
+    edges = tuple(zip(map(ids.__getitem__, sources), map(ids.__getitem__, targets)))
+    nodes = tuple(map(EcuNode, ids, labels, epsilons))
+    if not (min(ids, default=0) >= 0 and all(map(lt, ids, islice(ids, 1, None)))
+            and all(map(lt, edges, islice(edges, 1, None)))
+            and not any(map(eq, sources, targets)) and _nodes_valid(nodes)):
+        return None
+    graph = DependencyGraph.__new__(DependencyGraph)  # proved canonical: no __post_init__
+    offsets = (*map(bisect_left, repeat(sources), range(len(ids))), len(sources))
+    graph.__dict__.update(nodes=nodes, edges=edges, compiled=CompiledGraph(
+        tuple(ids), tuple(epsilons), offsets, tuple(targets)))
+    return graph
 
 
 def _read_records(text: str, path: str | None) -> DependencyGraph:

@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import sub
+from operator import itemgetter, sub
 from pathlib import Path
 
 from .errors import (
@@ -193,9 +193,13 @@ def edge_deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:
     edge whose value is missing or non-finite, or whose deviation
     overflows, so no NaN or infinity reaches trust or detection.
     """
-    observed, inferred = snapshot.observed, snapshot.inferred
+    observed, inferred, edges = snapshot.observed, snapshot.inferred, graph.edges
     try:
-        result = [abs(observed[edge[0]] - inferred[edge]) for edge in graph.edges]
+        if tuple(inferred) == edges:  # edge-ordered keys: only int keys are looked up
+            sources = map(observed.__getitem__, map(itemgetter(0), edges))
+            result = list(map(abs, map(sub, sources, inferred.values())))
+        else:
+            result = [abs(observed[edge[0]] - inferred[edge]) for edge in edges]
     except KeyError:
         result = None
     # a NaN or infinite deviation makes the sum non-finite; a finite sum
@@ -296,6 +300,7 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     # a finite sum proves every value finite; any other is the reader's to name
     if not inf or not math.isfinite(sum(obs[0]) + sum(inf[0])):
         return None
+    del lines, sources, targets  # freed before the dicts are built
     return Snapshot(dict(zip(compiled.ids, obs[0])), dict(zip(graph.edges, inf[0])))
 
 

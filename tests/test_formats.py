@@ -8,7 +8,7 @@ the record reader returns or leave the document to it.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trustconnect.errors import (
     GraphInvariantError,
@@ -30,6 +30,7 @@ from trustconnect.graph import (
     DependencyGraph,
     EcuNode,
     EpsilonDistribution,
+    _compile,
     _read_canonical as graph_read_canonical,
     _read_records as graph_read_records,
     from_text as graph_from_text,
@@ -218,13 +219,16 @@ def test_reader_checks_optional_field_counts():
 
 
 # edits of a canonical graph or snapshot document, each applied at a drawn
-# record; the first two need the record after it too
+# record; the first two need the record after it too. The last four leave
+# every line canonical, so only the bulk graph read's own checks refuse them;
+# the first of those applies to snapshots too (two obs lines swapped).
 PAIRWISE = ("misaligned pair", "swapped records")
+GRAPH_ONLY = ("self-loop", "epsilon out of range", "negative id")
 MUTATIONS = PAIRWISE + (
     "canonical", "tab", "double space", "trailing space", "crlf", "blank line",
     "comment line", "trailing comment", "leading zero", "duplicate record",
-    "unknown id", "extra field", "non-finite value",
-)
+    "unknown id", "extra field", "non-finite value", "nodes out of order",
+) + GRAPH_ONLY
 
 
 def _mutated(name, text, draw):
@@ -232,7 +236,29 @@ def _mutated(name, text, draw):
     k = draw(st.integers(1, len(lines) - (2 if name in PAIRWISE else 1)))
     line = lines[k]
     fields = line.split(" ")
-    if name == "misaligned pair":
+    # lines 1..nodes are the node (or obs) records, in ascending id
+    nodes = text.count(f"\n{lines[1].split(' ')[0]} ")
+    if name == "nodes out of order":
+        k = draw(st.integers(1, nodes - 1))
+        lines[k:k + 2] = [lines[k + 1], lines[k]]
+    elif name == "epsilon out of range":
+        k = draw(st.integers(1, nodes))
+        epsilon = draw(st.sampled_from(["-0.1", "-1e-300", "1.0000000000000002", "1.5"]))
+        lines[k] = " ".join([*lines[k].split(" ")[:-1], epsilon])
+    elif name == "self-loop":
+        node = int(lines[draw(st.integers(1, nodes))].split(" ")[1])
+        # inserted where it sorts, so the edge lines still ascend
+        after = [k for k in range(nodes + 1, len(lines))
+                 if tuple(map(int, lines[k].split(" ")[1:])) > (node, node)]
+        lines.insert(after[0] if after else len(lines), f"edge {node} {node}")
+    elif name == "negative id":
+        # the smallest id, wherever it stands, so ids and edges still ascend
+        smallest = lines[1].split(" ")[1]
+        for k, record in enumerate(map(str.split, lines[1:]), start=1):
+            positions = (1, 2) if record[0] == "edge" else (1,)
+            lines[k] = " ".join("-1" if f in positions and record[f] == smallest else field
+                                for f, field in enumerate(record))
+    elif name == "misaligned pair":
         # "inf 1 2" + "5.0 inf 3 4 6.0": every field lands in its column
         lines[k:k + 2] = [" ".join(fields[:-1]), f"{fields[-1]} {lines[k + 1]}"]
     elif name == "swapped records":
@@ -287,9 +313,29 @@ def test_bulk_graph_read_is_the_reader_or_falls_back(mutation, data):
     assert bulk is None or bulk == reader
     assert mutation != "canonical" or bulk == graph
     assert _outcome(graph_from_text, text, "doc.txt") == reader
+    if mutation in GRAPH_ONLY + ("nodes out of order",):
+        assert bulk is None
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
+@given(graphs(labels=plain_labels))
+@example(DependencyGraph(nodes=(), edges=()))
+@example(DependencyGraph(nodes=(EcuNode(7, "E7", 0.0), EcuNode(9, "E9", 1.0)), edges=()))
+@example(DependencyGraph(
+    nodes=tuple(EcuNode(i, f"E{i}", i / 100) for i in (3, 10, 42, 99)),
+    edges=((3, 42), (10, 3), (10, 99), (42, 3)),
+))
+def test_bulk_read_graph_arrives_compiled_as_compile_builds_it(graph):
+    bulk = graph_read_canonical(graph_to_text(graph))
+    assert bulk == graph
+    assert "compiled" in vars(bulk)  # placed by the read, not built on first use
+    expected = _compile(bulk)
+    for name in ("ids", "epsilons", "offsets", "dst"):
+        assert type(getattr(bulk.compiled, name)) is tuple
+        assert getattr(bulk.compiled, name) == getattr(expected, name), name
+    assert bulk.compiled.baselines == {}
+
+
+@pytest.mark.parametrize("mutation", [m for m in MUTATIONS if m not in GRAPH_ONLY])
 @settings(max_examples=12)
 @given(data=st.data())
 def test_aligned_snapshot_read_is_the_reader_or_falls_back(mutation, data):

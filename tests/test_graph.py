@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trustconnect.graph as graph_module
 from trustconnect.errors import GraphInvariantError, ParseError
 from trustconnect.graph import (
     DependencyGraph,
@@ -21,6 +22,8 @@ from trustconnect.graph import (
     _is_valid,
     _violations,
 )
+from trustconnect.snapshot import ScenarioSpec, load_snapshot, save_snapshot, synthesize_snapshot
+from trustconnect.trust import TrustParams, full_report
 
 
 def make_graph(n, edges, epsilon=0.5):
@@ -308,6 +311,24 @@ def test_compiled_is_built_once_per_graph():
     g = make_graph(3, [(0, 1), (1, 2)])
     assert g.compiled is g.compiled
     assert make_graph(0, []).compiled.offsets == (0,)
+
+
+def test_canonical_file_evaluates_without_compiling_or_revalidating(tmp_path, monkeypatch):
+    graph = generate_random(n=12, edge_probability=0.3, seed=4)
+    scenario = ScenarioSpec({node.id: 1.0 for node in graph.nodes}, noise_sigma=0.2, seed=1)
+    save_graph(graph, tmp_path / "g.txt")
+    save_snapshot(synthesize_snapshot(graph, scenario), tmp_path / "s.txt")
+    params = TrustParams(k=1.0, alpha=0.1)
+    expected = full_report(graph, synthesize_snapshot(graph, scenario), params)
+
+    def fail(_graph):
+        raise AssertionError("the bulk read hands over a checked, compiled graph")
+
+    monkeypatch.setattr(graph_module, "_compile", fail)
+    monkeypatch.setattr(graph_module, "_is_valid", fail)
+    loaded = load_graph(tmp_path / "g.txt")
+    report = full_report(loaded, load_snapshot(tmp_path / "s.txt", loaded), params)
+    assert report.to_json() == expected.to_json()
 
 
 @pytest.mark.parametrize(

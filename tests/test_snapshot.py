@@ -1,6 +1,8 @@
 import math
+import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustconnect.errors import ParseError, SnapshotMismatchError
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
@@ -12,6 +14,7 @@ from trustconnect.snapshot import (
     AttackSpec,
     ScenarioSpec,
     Snapshot,
+    _check_edges,
     constant_ground_truth,
     deviations,
     edge_deviations,
@@ -198,6 +201,85 @@ def test_edge_deviations_follow_edge_order(graph):
     devs = deviations(graph, snap)
     assert list(devs) == list(graph.edges)
     assert edge_deviations(graph, snap) == list(devs.values())
+
+
+def _comprehension_deviations(graph, snapshot):
+    """``edge_deviations`` by its per-edge comprehension only: the fast path's reference."""
+    observed, inferred = snapshot.observed, snapshot.inferred
+    try:
+        result = [abs(observed[edge[0]] - inferred[edge]) for edge in graph.edges]
+    except KeyError:
+        result = None
+    if result is None or not math.isfinite(sum(result)):
+        _check_edges(graph, snapshot)
+    return result
+
+
+def _deviation_outcome(function, graph, snapshot):
+    try:
+        return [value.hex() for value in function(graph, snapshot)]
+    except SnapshotMismatchError as exc:
+        return str(exc)
+
+
+# the cases that yield deviations; the others raise SnapshotMismatchError
+DEVIATIONS_RESULT = ("own keys", "equal keys", "swapped keys", "extra key", "missing sink",
+                     "nan sink")
+DEVIATIONS_CASES = DEVIATIONS_RESULT + (
+    "missing key", "missing source", "non-finite value", "overflow",
+)
+
+
+@st.composite
+def deviation_inputs(draw, case):
+    """A graph of 3+ nodes whose last node is a sink, and a snapshot edited as ``case`` says."""
+    ids = sorted(draw(st.lists(st.integers(0, 50), min_size=3, max_size=7, unique=True)))
+    sink = ids[-1]
+    pairs = st.tuples(st.sampled_from(ids[:-1]), st.sampled_from(ids))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), min_size=2, max_size=12,
+                          unique=True))
+    graph = DependencyGraph(tuple(EcuNode(i, f"E{i}", 0.5) for i in ids), tuple(edges))
+    edges = graph.edges
+    e = draw(st.integers(1, len(edges) - 1))
+    keys = [(i, j) for i, j in edges] if case == "equal keys" else list(edges)
+    if case == "swapped keys":
+        keys[e - 1:e + 1] = keys[e], keys[e - 1]
+    elif case == "missing key":
+        del keys[e]
+    elif case == "extra key":
+        keys.append((sink, ids[0]))
+    values = st.floats(-1e6, 1e6)
+    observed = {i: draw(values) for i in ids}
+    inferred = {key: draw(values) for key in keys}
+    if case == "missing source":
+        del observed[edges[e][0]]
+    elif case == "missing sink":
+        del observed[sink]
+    elif case == "nan sink":
+        observed[sink] = math.nan
+    elif case == "non-finite value":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if draw(st.booleans()):
+            observed[edges[e][0]] = bad
+        else:
+            inferred[edges[e]] = bad
+    elif case == "overflow":
+        observed[edges[e][0]], inferred[edges[e]] = 1e308, -1e308
+    return graph, Snapshot(observed=observed, inferred=inferred)
+
+
+@pytest.mark.parametrize("case", DEVIATIONS_CASES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_edge_deviations_fast_path_matches_the_comprehension(case, data):
+    graph, snapshot = data.draw(deviation_inputs(case))
+    expected = _deviation_outcome(_comprehension_deviations, graph, snapshot)
+    assert _deviation_outcome(edge_deviations, graph, snapshot) == expected
+    assert isinstance(expected, list) == (case in DEVIATIONS_RESULT)
+    keys = tuple(snapshot.inferred)
+    assert (keys == graph.edges) == (case not in ("swapped keys", "missing key", "extra key"))
+    if case == "equal keys":
+        assert not any(map(operator.is_, keys, graph.edges))
 
 
 def test_deviations_nonnegative(graph):
