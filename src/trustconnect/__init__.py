@@ -18,7 +18,6 @@ from .errors import (
 )
 from .experiment import (
     CellCheck,
-    GapSummary,
     RandomGraphSpec,
     SweepResult,
     SweepSpec,
@@ -78,7 +77,6 @@ __all__ = [
     "DetectorParams",
     "EcuNode",
     "EpsilonDistribution",
-    "GapSummary",
     "GraphInvariantError",
     "NonConvergenceWarning",
     "ParseError",

@@ -92,7 +92,7 @@ def _build_scenario(args, graph) -> ScenarioSpec:
 
     attack = scenario.attack
     if args.attack_nodes is not None:
-        attack = AttackSpec(compromised=parse_ids(args.attack_nodes))
+        attack = AttackSpec(compromised=args.attack_nodes)
     if args.attack_mode is not None or args.delta is not None:
         if attack is None:
             raise ValueError(
@@ -214,7 +214,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         help="gaussian inference noise (default 0.0)",
     )
     group.add_argument(
-        "--attack-nodes", metavar="IDS",
+        "--attack-nodes", type=parse_ids, metavar="IDS",
         help="comma-separated compromised node ids",
     )
     group.add_argument(

@@ -174,21 +174,15 @@ def graph_digest(graph: DependencyGraph) -> str:
 class SweepResult:
     graph: DependencyGraph
     snapshot: Snapshot
-    scenario: ScenarioSpec
     k_values: tuple[float, ...]
     alpha_values: tuple[float, ...]
     mode: str
+    # keyed (k, alpha), in canonical order: k-major, alpha-minor, ascending
     reports: dict[tuple[float, float], TrustReport]
     graph_sha256: str
 
     def report(self, k: float, alpha: float) -> TrustReport:
         return self.reports[(k, alpha)]
-
-    def cells(self):
-        """Grid cells in canonical order: k-major, alpha-minor, ascending."""
-        for k in self.k_values:
-            for alpha in self.alpha_values:
-                yield k, alpha
 
 
 def run_sweep_on(
@@ -213,7 +207,6 @@ def run_sweep_on(
     return SweepResult(
         graph=graph,
         snapshot=snapshot,
-        scenario=scenario,
         k_values=k_values,
         alpha_values=alpha_values,
         mode=mode,
@@ -371,8 +364,6 @@ def reference_sweep_spec(graph_file: str = "reference_graph.txt") -> SweepSpec:
 
 @dataclass(frozen=True)
 class CellCheck:
-    k: float
-    alpha: float
     bound_ok: bool
     ordering_ok: bool
     ordering_vacuous: bool
@@ -384,21 +375,6 @@ class CellCheck:
         return self.bound_ok and (self.ordering_ok or self.ordering_vacuous)
 
 
-@dataclass(frozen=True)
-class GapSummary:
-    cells: tuple[CellCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(cell.passed for cell in self.cells)
-
-    def cell(self, k: float, alpha: float) -> CellCheck:
-        for c in self.cells:
-            if (c.k, c.alpha) == (k, alpha):
-                return c
-        raise ValueError(f"no cell for k={k}, alpha={alpha}")
-
-
 def relative_gap(entry) -> float:
     """|eatv - btv| normalized by btv (floored to dodge zero division)."""
     return abs(entry.eatv - entry.btv) / max(entry.btv, 1e-12)
@@ -408,10 +384,11 @@ def check_gap_ordering(
     result: SweepResult,
     resilient: tuple[int, ...] = REFERENCE_RESILIENT,
     exposed: tuple[int, ...] = REFERENCE_EXPOSED,
-) -> GapSummary:
+) -> dict[tuple[float, float], CellCheck]:
     """Per-cell verdicts on the resilient-vs-exposed gap story.
 
-    Per cell: (bound) every node's |eatv - btv| stays within
+    Keyed (k, alpha) in the order of ``result.reports``. Per cell:
+    (bound) every node's |eatv - btv| stays within
     (1 - epsilon) * |btv - trust| + 1e-12; (ordering) each resilient
     node's relative gap is strictly below each exposed node's, judged
     only on pairs where at least one side's trust actually moved.
@@ -421,36 +398,23 @@ def check_gap_ordering(
     unknown = [i for i in (*resilient, *exposed) if i not in node_ids]
     if unknown:
         raise ValueError(f"nodes not in the swept graph: {unknown}")
-    cells = []
-    for k, alpha in result.cells():
-        report = result.report(k, alpha)
-        bound_ok = all(
-            abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust) + 1e-12
-            for e in report.entries
+    checks = {}
+    for cell, report in result.reports.items():
+        by_id = {e.id: e for e in report.entries}
+        gaps = {i: relative_gap(by_id[i]) for i in (*resilient, *exposed)}
+        moved = {i: abs(by_id[i].btv - by_id[i].trust) > 0 for i in gaps}
+        pairs = [(r, e) for r in resilient for e in exposed if moved[r] or moved[e]]
+        checks[cell] = CellCheck(
+            bound_ok=all(
+                abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust) + 1e-12
+                for e in report.entries
+            ),
+            ordering_ok=bool(pairs) and all(gaps[r] < gaps[e] for r, e in pairs),
+            ordering_vacuous=not pairs,
+            resilient_gaps={i: gaps[i] for i in resilient},
+            exposed_gaps={i: gaps[i] for i in exposed},
         )
-        moved = {i: abs(report.entry(i).btv - report.entry(i).trust) > 0
-                 for i in (*resilient, *exposed)}
-        ordering_ok = True
-        checked_any = False
-        for r in resilient:
-            for e in exposed:
-                if not (moved[r] or moved[e]):
-                    continue
-                checked_any = True
-                if not relative_gap(report.entry(r)) < relative_gap(report.entry(e)):
-                    ordering_ok = False
-        cells.append(
-            CellCheck(
-                k=k,
-                alpha=alpha,
-                bound_ok=bound_ok,
-                ordering_ok=ordering_ok if checked_any else False,
-                ordering_vacuous=not checked_any,
-                resilient_gaps={i: relative_gap(report.entry(i)) for i in resilient},
-                exposed_gaps={i: relative_gap(report.entry(i)) for i in exposed},
-            )
-        )
-    return GapSummary(cells=tuple(cells))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +432,7 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
     write the same files (grid values alike in ``%g`` form).
     """
     cells = {}
-    for k, alpha in result.cells():
+    for k, alpha in result.reports:
         stem = _cell_stem(k, alpha)
         other = cells.setdefault(stem, (k, alpha))
         if other != (k, alpha):

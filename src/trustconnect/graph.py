@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import eq, itemgetter, lt
 from pathlib import Path
 
@@ -57,14 +57,9 @@ class DependencyGraph:
         object.__setattr__(
             self, "nodes", tuple(sorted(self.nodes, key=lambda node: node.id))
         )
-        edges = tuple(self.edges)
-        # pairs of exact ints, as from_text builds them, are kept, not rebuilt
-        if not (
-            set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {int}
-        ):
-            edges = [(int(i), int(j)) for i, j in edges]
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(
+            self, "edges", tuple(sorted((int(i), int(j)) for i, j in self.edges))
+        )
 
     @property
     def node_ids(self) -> tuple[int, ...]:

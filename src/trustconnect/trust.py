@@ -350,20 +350,18 @@ def full_report(
     graph: DependencyGraph,
     snapshot: Snapshot,
     params: TrustParams,
-    provenance: dict[str, str] | None = None,
 ) -> TrustReport:
     """Assemble baseline, trust, and adjusted trust for every node."""
     # through the public deviations(), so layer tracing (perfbench/spans.py)
     # times this step; its keys follow graph.edges, so values are edge-aligned
     devs = deviations(graph, snapshot).values()
-    return report_from_deviations(graph, devs, params, provenance)
+    return report_from_deviations(graph, devs, params)
 
 
 def report_from_deviations(
     graph: DependencyGraph,
     devs: Iterable[float],
     params: TrustParams,
-    provenance: dict[str, str] | None = None,
 ) -> TrustReport:
     """:func:`full_report` from deviations in ``graph.edges`` order.
 
@@ -385,5 +383,4 @@ def report_from_deviations(
         network_trust=_network_trust(entries),
         params=params,
         converged=converged,
-        provenance=tuple(sorted((provenance or {}).items())),
     )

@@ -201,6 +201,15 @@ class TestEval:
         assert rc == 2
         assert "--attack-nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1,,2", "", "a"])
+    def test_malformed_attack_nodes_exits_2_naming_the_flag(self, fixture_dir, capsys, value):
+        rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                   "--attack-nodes", value])
+        assert rc == 2
+        assert f"argument --attack-nodes: invalid parse_ids value: {value!r}" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_graph_file_exits_1(self, tmp_path, capsys):
         rc = main(["eval", "--graph", str(tmp_path / "absent.txt")])
         assert rc == 1

@@ -5,6 +5,7 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trustconnect.errors import ParseError
 from trustconnect.graph import (
@@ -14,6 +15,7 @@ from trustconnect.graph import (
     validate,
 )
 from trustconnect.snapshot import (
+    ATTACK_MODES,
     AttackSpec,
     ScenarioSpec,
     constant_ground_truth,
@@ -31,12 +33,13 @@ from trustconnect.experiment import (
     parse_sweep_spec,
     reference_fixture,
     reference_sweep_spec,
+    relative_gap,
     run_sweep,
     run_sweep_on,
     save_sweep_spec,
     sweep_spec_to_text,
 )
-from trustconnect.trust import TrustParams, full_report
+from trustconnect.trust import MODES, TrustParams, full_report
 
 # Fingerprints of the committed fixture files; a change here is a
 # deliberate fixture version bump, never an accident.
@@ -50,6 +53,89 @@ REFERENCE_SCENARIO_SHA256 = (
 
 def clean_scenario(graph):
     return ScenarioSpec(ground_truth=constant_ground_truth(graph, 5.0))
+
+
+def nested_loop_gap_check(result, resilient, exposed):
+    """Reference transcription of the gap check: grid loops, one lookup per use.
+
+    Returns [((k, alpha), bound_ok, ordering_ok, ordering_vacuous,
+    resilient_gaps, exposed_gaps)] in k-major, alpha-minor order.
+    """
+    def entry(report, i):
+        return next(e for e in report.entries if e.id == i)
+
+    cells = []
+    for k in result.k_values:
+        for alpha in result.alpha_values:
+            report = result.report(k, alpha)
+            bound_ok = all(
+                abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust) + 1e-12
+                for e in report.entries
+            )
+            moved = {i: abs(entry(report, i).btv - entry(report, i).trust) > 0
+                     for i in (*resilient, *exposed)}
+            ordering_ok = True
+            checked_any = False
+            for r in resilient:
+                for e in exposed:
+                    if not (moved[r] or moved[e]):
+                        continue
+                    checked_any = True
+                    if not relative_gap(entry(report, r)) < relative_gap(entry(report, e)):
+                        ordering_ok = False
+            cells.append((
+                (k, alpha),
+                bound_ok,
+                ordering_ok if checked_any else False,
+                not checked_any,
+                {i: relative_gap(entry(report, i)) for i in resilient},
+                {i: relative_gap(entry(report, i)) for i in exposed},
+            ))
+    return cells
+
+
+@st.composite
+def gap_check_cases(draw):
+    """A small random sweep plus watched sets, which may be empty or overlap.
+
+    Each sampled list puts a value that moves trust first, because
+    hypothesis favours early elements and a still cell is vacuous.
+    """
+    graph = generate_random(
+        n=draw(st.integers(min_value=1, max_value=12)),
+        edge_probability=draw(st.sampled_from([0.5, 0.2, 1.0, 0.0])),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    ids = st.sampled_from(graph.node_ids)
+    mode = draw(st.sampled_from((*ATTACK_MODES, None)))
+    attack = None if mode is None else AttackSpec(
+        compromised=draw(st.frozensets(ids, min_size=1)),
+        mode=mode,
+        delta=draw(st.sampled_from([3.0, 0.5, 0.0])),
+    )
+    scenario = ScenarioSpec(
+        ground_truth=constant_ground_truth(graph, draw(st.sampled_from([5.0, 1.0, 0.0]))),
+        noise_sigma=draw(st.sampled_from([1.5, 0.0])),
+        attack=attack,
+        seed=draw(st.integers(min_value=0, max_value=99)),
+    )
+    axis = st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=1, max_size=3,
+                    unique=True).map(sorted)
+    result = run_sweep_on(graph, scenario, k_values=draw(axis), alpha_values=draw(axis),
+                          mode=draw(st.sampled_from(MODES)))
+    watched = st.lists(ids, max_size=3).map(tuple)
+    return result, draw(watched), draw(watched)
+
+
+def one_sided_case(resilient, exposed):
+    """Node 1 has no out-edges, so its trust never moves while node 0's does."""
+    graph = DependencyGraph(
+        nodes=(EcuNode(id=0, label="E0", epsilon=0.5), EcuNode(id=1, label="E1", epsilon=0.5)),
+        edges=((0, 1),),
+    )
+    scenario = ScenarioSpec(ground_truth=constant_ground_truth(graph, 1.0), noise_sigma=1.5)
+    result = run_sweep_on(graph, scenario, k_values=(1.0,), alpha_values=(0.1,))
+    return result, resilient, exposed
 
 
 class TestSweepSpecValidation:
@@ -95,8 +181,8 @@ class TestRunSweep:
     def test_clean_scenario_keeps_trust_at_baseline_in_every_cell(self):
         graph = generate_random(n=12, edge_probability=0.25, seed=6)
         result = run_sweep_on(graph, clean_scenario(graph))
-        for k, alpha in result.cells():
-            for e in result.report(k, alpha).entries:
+        for report in result.reports.values():
+            for e in report.entries:
                 assert e.trust == e.btv
 
     def test_default_grid_has_16_cells_sharing_snapshot(self):
@@ -104,7 +190,9 @@ class TestRunSweep:
         result = run_sweep_on(graph, scenario)
         assert len(result.reports) == 16
         assert result.graph_sha256 == graph_digest(graph)
-        assert list(result.cells())[0] == (0.1, 0.05)
+        assert list(result.reports) == [
+            (k, alpha) for k in DEFAULT_K_VALUES for alpha in DEFAULT_ALPHA_VALUES
+        ]
 
     def test_alpha_monotone_per_fixed_k_on_fixture(self):
         graph, scenario = reference_fixture()
@@ -188,10 +276,10 @@ class TestReferenceFixture:
 class TestGapOrdering:
     def test_fixture_passes_every_default_cell(self):
         graph, scenario = reference_fixture()
-        summary = check_gap_ordering(run_sweep_on(graph, scenario))
-        assert summary.all_pass
-        assert len(summary.cells) == 16
-        for cell in summary.cells:
+        checks = check_gap_ordering(run_sweep_on(graph, scenario))
+        assert all(cell.passed for cell in checks.values())
+        assert len(checks) == 16
+        for cell in checks.values():
             assert cell.bound_ok
             assert cell.ordering_ok
             assert not cell.ordering_vacuous
@@ -199,9 +287,9 @@ class TestGapOrdering:
 
     def test_clean_scenario_is_vacuous(self):
         graph, _ = reference_fixture()
-        summary = check_gap_ordering(run_sweep_on(graph, clean_scenario(graph)))
-        assert summary.all_pass
-        for cell in summary.cells:
+        checks = check_gap_ordering(run_sweep_on(graph, clean_scenario(graph)))
+        assert all(cell.passed for cell in checks.values())
+        for cell in checks.values():
             assert cell.ordering_vacuous
             assert set(cell.resilient_gaps.values()) == {0.0}
 
@@ -218,8 +306,7 @@ class TestGapOrdering:
             ),
         )
         result = run_sweep_on(graph, scenario, k_values=(1.0,), alpha_values=(0.1,))
-        summary = check_gap_ordering(result, resilient=(0,), exposed=(2,))
-        cell = summary.cells[0]
+        cell = check_gap_ordering(result, resilient=(0,), exposed=(2,))[(1.0, 0.1)]
         assert cell.resilient_gaps[0] == 0.0
         assert cell.exposed_gaps[2] > 0.0
         assert cell.ordering_ok
@@ -232,10 +319,26 @@ class TestGapOrdering:
 
     def test_cell_lookup(self):
         graph, scenario = reference_fixture()
-        summary = check_gap_ordering(run_sweep_on(graph, scenario))
-        assert summary.cell(0.1, 0.05).k == 0.1
-        with pytest.raises(ValueError):
-            summary.cell(9.9, 9.9)
+        checks = check_gap_ordering(run_sweep_on(graph, scenario))
+        assert list(checks)[0] == (0.1, 0.05)
+        assert checks[(0.1, 0.05)].passed
+        with pytest.raises(KeyError):
+            checks[(9.9, 9.9)]
+
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore::trustconnect.trust.NonConvergenceWarning")
+    @given(gap_check_cases())
+    @example(one_sided_case(resilient=(1,), exposed=(0,)))
+    @example(one_sided_case(resilient=(0,), exposed=(1,)))
+    def test_matches_nested_loop_reference(self, case):
+        result, resilient, exposed = case
+        checks = check_gap_ordering(result, resilient, exposed)
+        reference = nested_loop_gap_check(result, resilient, exposed)
+        assert list(checks) == [cell for cell, *_ in reference]
+        for cell, *fields in reference:
+            c = checks[cell]
+            assert [c.bound_ok, c.ordering_ok, c.ordering_vacuous,
+                    c.resilient_gaps, c.exposed_gaps] == fields
 
 
 class TestEmitFigureData:

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -559,11 +560,9 @@ class TestReportSerialization:
                 attack=AttackSpec(compromised=frozenset({1}), delta=2.0),
             ),
         )
-        return full_report(
-            graph,
-            snapshot,
-            TrustParams(k=0.5, alpha=0.1),
-            provenance={"seed": "13", "source": "unit-test"},
+        return replace(
+            full_report(graph, snapshot, TrustParams(k=0.5, alpha=0.1)),
+            provenance=(("seed", "13"), ("source", "unit-test")),
         )
 
     def test_text_shape(self):
