@@ -57,12 +57,6 @@ class DetectionReport:
     ranking: tuple[int, ...]
     params: DetectorParams
 
-    def entry(self, node_id: int) -> DetectionEntry:
-        for entry in self.entries:
-            if entry.id == node_id:
-                return entry
-        raise ValueError(f"unknown node id {node_id}")
-
     def flagged_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.entries if e.flagged)
 

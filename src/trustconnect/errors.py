@@ -1,7 +1,6 @@
 """Exception types shared across the package, and the readers of its text formats."""
 
 import math
-from contextlib import AbstractContextManager
 from itertools import repeat
 
 
@@ -46,6 +45,12 @@ def require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def finite_float(field: str) -> float:
     """float(field), rejecting NaN and the infinities."""
     value = float(field)
@@ -59,55 +64,63 @@ def is_one_field(text: str) -> bool:
     return text.split() == [text] and "#" not in text
 
 
-class RecordReader(AbstractContextManager):
-    """The records of a line-oriented text document, as field lists.
+LIST, SINGLE, ID = "list", "single", "id"
 
-    Line 1 must be ``header``; ``#`` starts a comment. ``usage`` maps each
-    record kind to its fields, e.g. ``{"edge": "<i> <j>"}``, and a
-    bracketed field is optional. Kinds in ``single`` may occur at most
-    once. Use the reader as a context manager around the loop: a
-    ValueError raised while the caller converts a record becomes a
-    ParseError at that record's line.
+
+def read_records(text: str, path: str | None, header: str, records: dict) -> dict:
+    """The converted records of a line-oriented text document, by kind.
+
+    Line 1 must be ``header``; ``#`` starts a comment. ``records`` maps each
+    kind to ``(usage, convert, shape)``. ``usage`` lists the fields after
+    the kind, e.g. ``"<i> <j>"``, and a bracketed field is optional.
+    ``convert`` maps the whole field list, kind first, to the record's
+    value. By ``shape``, a kind maps to: LIST, the list of its values in
+    file order; SINGLE, its one value, or nothing when no record has it;
+    ID, ``{id: value}``, one record per id, where the id is the int after
+    the kind, or the pair of ints after it when the value is the fourth
+    field. Every ValueError, the reader's own or a converter's, becomes a
+    ParseError at the record's line.
     """
-
-    def __init__(self, text: str, path: str | None, header: str,
-                 usage: dict[str, str], single=()):
-        self.lines = text.splitlines()
-        if not self.lines or self.lines[0].strip() != header:
-            raise ParseError(f"missing header {header!r}", path, 1)
-        self.path = path
-        self.usage = usage
-        self.single = frozenset(single)
-        self.line_no = 1
-        # field count of each kind with all optional fields, the kind included
-        self.counts = {kind: len(fields.split()) + 1 for kind, fields in usage.items()}
-
-    def __iter__(self):
-        counts, single, seen = self.counts, self.single, set()
-        for line_no, raw in enumerate(self.lines[1:], start=2):
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"missing header {header!r}", path, 1)
+    found = {kind: [] if shape == LIST else {}
+             for kind, (_, _, shape) in records.items() if shape != SINGLE}
+    # per kind: the field count with all optional fields, the kind included
+    plans = {kind: (len(usage.split()) + 1, convert, shape, found.get(kind))
+             for kind, (usage, convert, shape) in records.items()}
+    line_no = 1
+    try:
+        for line_no, raw in enumerate(lines[1:], start=2):
             if "#" in raw:
                 raw = raw.split("#", 1)[0]
             fields = raw.split()
             if not fields:
                 continue
-            self.line_no = line_no
             kind = fields[0]
-            if kind in single:
-                if kind in seen:
-                    raise ParseError(f"duplicate {kind} record", self.path, line_no)
-                seen.add(kind)
-            if counts.get(kind) != len(fields):
-                # off the common path: an unknown kind, or optional fields omitted
-                usage = self.usage.get(kind)
-                if usage is None:
-                    raise ParseError(f"unknown record type {kind!r}", self.path, line_no)
-                if not counts[kind] - usage.count("[") <= len(fields) < counts[kind]:
-                    raise ParseError(f"expected: {kind} {usage}", self.path, line_no)
-            yield fields
-
-    def __exit__(self, exc_type, exc, traceback):
-        if isinstance(exc, ValueError):
-            raise ParseError(str(exc), self.path, self.line_no) from exc
+            plan = plans.get(kind)
+            if plan is None:
+                raise ValueError(f"unknown record type {kind!r}")
+            count, convert, shape, values = plan
+            if shape == SINGLE and kind in found:
+                raise ValueError(f"duplicate {kind} record")
+            if count != len(fields):  # off the common path: optional fields omitted
+                usage = records[kind][0]
+                if not count - usage.count("[") <= len(fields) < count:
+                    raise ValueError(f"expected: {kind} {usage}")
+            if shape == LIST:
+                values.append(convert(fields))
+            elif shape == SINGLE:
+                found[kind] = convert(fields)
+            else:
+                key = int(fields[1]) if count == 3 else (int(fields[1]), int(fields[2]))
+                if key in values:
+                    ids = " ".join(map(str, key)) if count > 3 else key
+                    raise ValueError(f"duplicate {kind} {ids} record")
+                values[key] = convert(fields)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, line_no) from exc
+    return found
 
 
 COLUMN_CHUNK = 16384

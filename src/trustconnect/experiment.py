@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, RecordReader, finite_float, is_one_field, require_finite
+from .errors import SINGLE, ParseError, finite_float, is_one_field, read_records, require_finite
 from .graph import (
     DependencyGraph,
     EpsilonDistribution,
@@ -56,7 +56,6 @@ from .snapshot import (
     AttackSpec,
     ScenarioSpec,
     Snapshot,
-    attack_from_fields,
     attack_to_text,
     check_ground_truth,
     check_noise_sigma,
@@ -68,18 +67,6 @@ from .snapshot import (
 from .trust import TrustParams, TrustReport, check_mode, report_from_deviations
 
 SWEEP_HEADER = "trustconnect-sweep v1"
-SWEEP_RECORDS = {
-    "graph_file": "<path>",
-    "graph_random": "n=<int> p=<float> [seed=<int>] [epsilon=<spec>]",
-    "truth_constant": "<value>",
-    "truth": "<id> <value>",
-    "noise_sigma": "<value>",
-    "scenario_seed": "<int>",
-    "attack": SCENARIO_RECORDS["attack"],
-    "k_values": "<v,v,...>",
-    "alpha_values": "<v,v,...>",
-    "mode": "<single-pass|fixed-point>",
-}
 MANIFEST_HEADER = "trustconnect-sweep-manifest v1"
 
 DEFAULT_K_VALUES = (0.1, 0.5, 1.0, 2.0)
@@ -263,7 +250,7 @@ def _random_graph_spec(fields: list[str]) -> RandomGraphSpec:
     # a repeated key shrinks the dict; n and p are required
     if (len(params) < len(fields) - 1
             or not {"n", "p"} <= params.keys() <= {"n", "p", "seed", "epsilon"}):
-        raise ValueError(f"expected: graph_random {SWEEP_RECORDS['graph_random']}")
+        raise ValueError(f"expected: graph_random {SWEEP_RECORDS['graph_random'][0]}")
     return RandomGraphSpec(
         n=int(params["n"]),
         edge_probability=finite_float(params["p"]),
@@ -272,45 +259,40 @@ def _random_graph_spec(fields: list[str]) -> RandomGraphSpec:
     )
 
 
+def _grid_axis(fields: list[str]) -> tuple[float, ...]:
+    values = tuple(finite_float(v) for v in fields[1].split(","))
+    _check_grid_axis(fields[0], values)
+    return values
+
+
+SWEEP_RECORDS = {
+    "graph_file": ("<path>", lambda f: f[1], SINGLE),
+    "graph_random": ("n=<int> p=<float> [seed=<int>] [epsilon=<spec>]",
+                     _random_graph_spec, SINGLE),
+    "truth_constant": ("<value>", lambda f: finite_float(f[1]), SINGLE),
+    "truth": SCENARIO_RECORDS["truth"],
+    "noise_sigma": SCENARIO_RECORDS["noise_sigma"],
+    "scenario_seed": SCENARIO_RECORDS["seed"],
+    "attack": SCENARIO_RECORDS["attack"],
+    "k_values": ("<v,v,...>", _grid_axis, SINGLE),
+    "alpha_values": ("<v,v,...>", _grid_axis, SINGLE),
+    "mode": ("<single-pass|fixed-point>", lambda f: check_mode(f[1]), SINGLE),
+}
+
+
 def parse_sweep_spec(text: str, path: str | None = None) -> SweepSpec:
     """Parse a sweep spec, checking each record at its own line.
 
     Only "exactly one graph source" spans records, so its ParseError
     names the file but no line.
     """
-    kwargs = {}
-    overrides = {}
-    single = set(SWEEP_RECORDS) - {"truth"}
-    with RecordReader(text, path, SWEEP_HEADER, SWEEP_RECORDS, single) as records:
-        for fields in records:
-            kind = fields[0]
-            if kind == "truth":
-                if (i := int(fields[1])) in overrides:
-                    raise ValueError(f"duplicate truth {i} record")
-                overrides[i] = finite_float(fields[2])
-            elif kind == "graph_file":
-                graph_path = fields[1]
-                if path is not None and not os.path.isabs(graph_path):
-                    graph_path = str(Path(path).parent / graph_path)
-                kwargs[kind] = graph_path
-            elif kind == "graph_random":
-                kwargs[kind] = _random_graph_spec(fields)
-            elif kind == "attack":
-                kwargs[kind] = attack_from_fields(fields)
-            elif kind in ("k_values", "alpha_values"):
-                values = tuple(finite_float(v) for v in fields[1].split(","))
-                _check_grid_axis(kind, values)
-                kwargs[kind] = values
-            elif kind == "mode":
-                kwargs[kind] = check_mode(fields[1])
-            elif kind == "scenario_seed":
-                kwargs[kind] = int(fields[1])
-            elif kind == "noise_sigma":
-                kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
-            else:
-                kwargs[kind] = finite_float(fields[1])
+    found = read_records(text, path, SWEEP_HEADER, SWEEP_RECORDS)
+    found["truth_overrides"] = tuple(found.pop("truth").items())
+    graph_file = found.get("graph_file")
+    if path is not None and graph_file is not None and not os.path.isabs(graph_file):
+        found["graph_file"] = str(Path(path).parent / graph_file)
     try:
-        return SweepSpec(truth_overrides=tuple(overrides.items()), **kwargs)
+        return SweepSpec(**found)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 

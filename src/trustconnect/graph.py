@@ -26,10 +26,15 @@ from itertools import islice, repeat
 from operator import eq, itemgetter, lt
 from pathlib import Path
 
-from .errors import GraphInvariantError, RecordReader, is_one_field, read_columns
+from .errors import (
+    LIST, GraphInvariantError, is_one_field, read_columns, read_records, require_int,
+)
 
 GRAPH_HEADER = "trustconnect-graph v1"
-GRAPH_RECORDS = {"node": "<id> <label> <epsilon>", "edge": "<i> <j>"}
+GRAPH_RECORDS = {
+    "node": ("<id> <label> <epsilon>", lambda f: EcuNode(int(f[1]), f[2], float(f[3])), LIST),
+    "edge": ("<i> <j>", lambda f: (int(f[1]), int(f[2])), LIST),
+}
 
 
 @dataclass(frozen=True)
@@ -221,7 +226,8 @@ def parse_epsilon_dist(spec: str) -> EpsilonDistribution:
 
 
 def check_random_graph(n: int, edge_probability: float) -> None:
-    """Raise ValueError unless G(n, p) has n >= 1 and p in [0, 1]."""
+    """Raise ValueError unless G(n, p) has an int n >= 1 and p in [0, 1]."""
+    require_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= edge_probability <= 1.0:
@@ -308,15 +314,8 @@ def _read_canonical(text: str) -> DependencyGraph | None:
 
 def _read_records(text: str, path: str | None) -> DependencyGraph:
     """Any graph document, record by record; raises at the first bad line or invariant."""
-    nodes: list[EcuNode] = []
-    edges: list[tuple[int, int]] = []
-    with RecordReader(text, path, GRAPH_HEADER, GRAPH_RECORDS) as records:
-        for fields in records:
-            if fields[0] == "node":
-                nodes.append(EcuNode(int(fields[1]), fields[2], float(fields[3])))
-            else:
-                edges.append((int(fields[1]), int(fields[2])))
-    graph = DependencyGraph(nodes=tuple(nodes), edges=tuple(edges))
+    found = read_records(text, path, GRAPH_HEADER, GRAPH_RECORDS)
+    graph = DependencyGraph(nodes=tuple(found["node"]), edges=tuple(found["edge"]))
     violations = validate(graph)
     if violations:
         raise GraphInvariantError(violations)

@@ -39,19 +39,17 @@ from operator import itemgetter, sub
 from pathlib import Path
 
 from .errors import (
-    RecordReader, SnapshotMismatchError, finite_float, read_columns, require_finite,
+    ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records,
+    require_finite,
 )
 from .graph import DependencyGraph
 
 SNAPSHOT_HEADER = "trustconnect-snapshot v1"
-SNAPSHOT_RECORDS = {"obs": "<i> <value>", "inf": "<i> <j> <value>"}
-SCENARIO_HEADER = "trustconnect-scenario v1"
-SCENARIO_RECORDS = {
-    "truth": "<id> <value>",
-    "noise_sigma": "<value>",
-    "seed": "<int>",
-    "attack": "<mode> <delta> <id,id,...>",
+SNAPSHOT_RECORDS = {
+    "obs": ("<i> <value>", lambda f: finite_float(f[2]), ID),
+    "inf": ("<i> <j> <value>", lambda f: finite_float(f[3]), ID),
 }
+SCENARIO_HEADER = "trustconnect-scenario v1"
 
 ATTACK_MODES = ("self-injection", "inference-corruption", "both")
 
@@ -140,6 +138,14 @@ def attack_from_fields(fields: list[str]) -> AttackSpec:
 def attack_to_text(attack: AttackSpec) -> str:
     ids = ",".join(str(i) for i in sorted(attack.compromised))
     return f"attack {attack.mode} {attack.delta!r} {ids}"
+
+
+SCENARIO_RECORDS = {
+    "truth": ("<id> <value>", lambda f: finite_float(f[2]), ID),
+    "noise_sigma": ("<value>", lambda f: check_noise_sigma(finite_float(f[1])), SINGLE),
+    "seed": ("<int>", lambda f: int(f[1]), SINGLE),
+    "attack": ("<mode> <delta> <id,id,...>", attack_from_fields, SINGLE),
+}
 
 
 def constant_ground_truth(graph: DependencyGraph, value: float) -> dict[int, float]:
@@ -264,19 +270,19 @@ def from_text(text: str, path: str | None = None,
     snapshot fails to match it. A document in ``to_text``'s layout for the
     graph is read in bulk and matches by construction.
     """
-    if graph is None:
-        return _read_records(text, path)
-    snapshot = _read_aligned(text, graph)
-    if snapshot is None:
-        snapshot = _read_records(text, path)
-        # with one inferred value per edge and one observed value per node,
-        # all that can be wrong is a missing edge, which evaluation names;
-        # otherwise the full comparison lists the mismatches
-        if (len(snapshot.inferred) != len(graph.edges)
-                or snapshot.observed.keys() != set(graph.node_ids)):
-            problems = validate_snapshot(graph, snapshot)
-            more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
-            raise SnapshotMismatchError("; ".join(problems[:5]) + more)
+    aligned = graph is not None and _read_aligned(text, graph)
+    if aligned:
+        return aligned
+    found = read_records(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS)
+    snapshot = Snapshot(observed=found["obs"], inferred=found["inf"])
+    # with one inferred value per edge and one observed value per node,
+    # all that can be wrong is a missing edge, which evaluation names;
+    # otherwise the full comparison lists the mismatches
+    if graph is not None and (len(snapshot.inferred) != len(graph.edges)
+                              or snapshot.observed.keys() != set(graph.node_ids)):
+        problems = validate_snapshot(graph, snapshot)
+        more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+        raise SnapshotMismatchError("; ".join(problems[:5]) + more)
     return snapshot
 
 
@@ -304,22 +310,6 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     return Snapshot(dict(zip(compiled.ids, obs[0])), dict(zip(graph.edges, inf[0])))
 
 
-def _read_records(text: str, path: str | None) -> Snapshot:
-    observed: dict[int, float] = {}
-    inferred: dict[tuple[int, int], float] = {}
-    with RecordReader(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS) as records:
-        for fields in records:
-            if fields[0] == "obs":
-                if (i := int(fields[1])) in observed:
-                    raise ValueError(f"duplicate obs {i} record")
-                observed[i] = finite_float(fields[2])
-            else:
-                if (edge := (int(fields[1]), int(fields[2]))) in inferred:
-                    raise ValueError(f"duplicate inf {edge[0]} {edge[1]} record")
-                inferred[edge] = finite_float(fields[3])
-    return Snapshot(observed=observed, inferred=inferred)
-
-
 def save_snapshot(snapshot: Snapshot, path) -> None:
     Path(path).write_text(to_text(snapshot), encoding="utf-8", newline="\n")
 
@@ -340,23 +330,8 @@ def scenario_to_text(scenario: ScenarioSpec) -> str:
 
 
 def scenario_from_text(text: str, path: str | None = None) -> ScenarioSpec:
-    truth: dict[int, float] = {}
-    kwargs = {}
-    single = set(SCENARIO_RECORDS) - {"truth"}
-    with RecordReader(text, path, SCENARIO_HEADER, SCENARIO_RECORDS, single) as records:
-        for fields in records:
-            kind = fields[0]
-            if kind == "truth":
-                if (i := int(fields[1])) in truth:
-                    raise ValueError(f"duplicate truth {i} record")
-                truth[i] = finite_float(fields[2])
-            elif kind == "noise_sigma":
-                kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
-            elif kind == "seed":
-                kwargs[kind] = int(fields[1])
-            else:
-                kwargs[kind] = attack_from_fields(fields)
-    return ScenarioSpec(ground_truth=truth, **kwargs)
+    found = read_records(text, path, SCENARIO_HEADER, SCENARIO_RECORDS)
+    return ScenarioSpec(ground_truth=found.pop("truth"), **found)
 
 
 def save_scenario(scenario: ScenarioSpec, path) -> None:

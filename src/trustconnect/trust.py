@@ -43,7 +43,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
-from .errors import require_finite
+from .errors import require_finite, require_int
 from .graph import CompiledGraph, DependencyGraph
 from .snapshot import Snapshot, deviations, edge_deviations
 from .svgchart import grouped_bar_svg
@@ -82,6 +82,7 @@ class TrustParams:
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         check_mode(self.mode)
+        require_int("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tolerance <= 0:
@@ -280,12 +281,6 @@ class TrustReport:
     params: TrustParams
     converged: bool
     provenance: tuple[tuple[str, str], ...] = field(default=())
-
-    def entry(self, node_id: int) -> TrustEntry:
-        for entry in self.entries:
-            if entry.id == node_id:
-                return entry
-        raise ValueError(f"unknown node id {node_id}")
 
     def to_text(self) -> str:
         lines = [REPORT_HEADER]

@@ -99,7 +99,7 @@ class TestEvidence:
             attack=AttackSpec(compromised=frozenset({0}), mode="self-injection", delta=5.0),
         )
         report = detect(graph, synthesize_snapshot(graph, scenario), PARAMS)
-        entry = report.entry(0)
+        entry = {e.id: e for e in report.entries}[0]
         assert entry.evidence == pytest.approx(1.6, abs=1e-12)
         assert entry.flagged
         assert entry.contradicting_neighbors == (1, 2)
@@ -112,7 +112,7 @@ class TestEvidence:
             attack=AttackSpec(compromised=frozenset({0}), mode="self-injection", delta=5.0),
         )
         report = detect(graph, synthesize_snapshot(graph, scenario), PARAMS)
-        entry = report.entry(0)
+        entry = {e.id: e for e in report.entries}[0]
         assert entry.evidence == 0.0
         assert not entry.flagged
         assert entry.contradicting_neighbors == (1, 2)
@@ -123,12 +123,12 @@ class TestEvidence:
         w = math.exp(-1.0 * d)
         snapshot = Snapshot(observed={0: 2.0, 1: 2.0}, inferred={(0, 1): 2.0 + d})
         at = detect(graph, snapshot, PARAMS, DetectorParams(weight_threshold=w))
-        assert at.entry(0).evidence == 0.0
+        assert {e.id: e for e in at.entries}[0].evidence == 0.0
         above = detect(
             graph, snapshot, PARAMS,
             DetectorParams(weight_threshold=math.nextafter(w, 1.0)),
         )
-        assert above.entry(0).evidence == 0.9
+        assert {e.id: e for e in above.entries}[0].evidence == 0.9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_evidence_bounded_by_neighbor_epsilon_sum(self, seed):
@@ -150,7 +150,7 @@ class TestEvidence:
         graph = build([(0, 0.9), (1, 0.9)], [(1, 0)])
         snapshot = Snapshot(observed={0: 0.0, 1: 0.0}, inferred={(1, 0): 50.0})
         report = detect(graph, snapshot, PARAMS)
-        assert not report.entry(0).flagged
+        assert not {e.id: e for e in report.entries}[0].flagged
 
 
 class TestRanking:
@@ -168,7 +168,8 @@ class TestRanking:
             ),
         )
         report = detect(graph, synthesize_snapshot(graph, scenario), PARAMS)
-        assert report.entry(0).evidence == report.entry(1).evidence == 0.8
+        by_id = {e.id: e for e in report.entries}
+        assert by_id[0].evidence == by_id[1].evidence == 0.8
         assert report.ranking == (0, 1, 2, 3)
 
     def test_self_injected_node_ranks_first(self):
@@ -187,7 +188,7 @@ class TestRanking:
         )
         report = detect(graph, synthesize_snapshot(graph, scenario), PARAMS)
         assert report.ranking[0] == target
-        assert report.entry(target).flagged
+        assert {e.id: e for e in report.entries}[target].flagged
 
 
 class TestSerialization:
@@ -272,8 +273,9 @@ class TestClosedFormOracles:
         evidence = 0.0
         for j in out:  # left to right in edge order, as the detector adds
             evidence += epsilon[j]
-        assert report.entry(node).contradicting_neighbors == out
-        assert report.entry(node).evidence == evidence
+        by_id = {e.id: e for e in report.entries}
+        assert by_id[node].contradicting_neighbors == out
+        assert by_id[node].evidence == evidence
         for entry in report.entries:
             if entry.id != node:
                 assert entry.evidence == 0.0 and entry.contradicting_neighbors == ()
@@ -297,7 +299,7 @@ class TestClosedFormOracles:
         graph, scenario = reference_fixture()
         truth = scenario.ground_truth[2]
         report = detect(graph, _attacked(graph, truth, {2}, "self-injection", delta), PARAMS)
-        entry = report.entry(2)
+        entry = {e.id: e for e in report.entries}[2]
         assert entry.flagged == flagged
         if flagged:
             assert entry.contradicting_neighbors == tuple(j for i, j in graph.edges if i == 2)

@@ -370,9 +370,10 @@ class TestEmitFigureData:
         report = result.report(0.5, 0.1)
         lines = (tmp_path / "sweep_k0.5_a0.1.csv").read_text().splitlines()
         assert lines[0] == "id,label,epsilon,btv,trust,eatv"
+        by_id = {e.id: e for e in report.entries}
         for line in lines[1:]:
             fields = line.split(",")
-            entry = report.entry(int(fields[0]))
+            entry = by_id[int(fields[0])]
             assert fields[1] == entry.label
             assert float(fields[2]) == entry.epsilon
             assert float(fields[3]) == entry.btv

@@ -2,25 +2,35 @@
 
 Every value a format can hold survives ``from_text(to_text(x)) == x``, and
 no line of input, however malformed, escapes as anything but a ParseError
-(or a GraphInvariantError for a well-formed but invalid graph). The bulk
+(or a GraphInvariantError for a well-formed but invalid graph). The one
+record reader gives every format the result or the error that each
+format's own loop over the line-by-line reader it replaced gave. The bulk
 readers of canonical graph and snapshot files either return exactly what
 the record reader returns or leave the document to it.
 """
+
+import os
+from contextlib import AbstractContextManager
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trustconnect.errors import (
+    LIST,
     GraphInvariantError,
     ParseError,
-    RecordReader,
     SnapshotMismatchError,
+    finite_float,
+    read_records,
 )
 from trustconnect.experiment import (
     SWEEP_HEADER,
     SWEEP_RECORDS,
     RandomGraphSpec,
     SweepSpec,
+    _check_grid_axis,
+    _random_graph_spec,
     parse_sweep_spec,
     sweep_spec_to_text,
 )
@@ -47,13 +57,15 @@ from trustconnect.snapshot import (
     ScenarioSpec,
     Snapshot,
     _read_aligned as snapshot_read_aligned,
+    attack_from_fields,
+    check_noise_sigma,
     from_text as snapshot_from_text,
     scenario_from_text,
     scenario_to_text,
     to_text as snapshot_to_text,
     validate_snapshot,
 )
-from trustconnect.trust import MODES
+from trustconnect.trust import MODES, check_mode
 
 node_ids = st.integers(min_value=0, max_value=10**6)
 ids = st.integers(min_value=-10**6, max_value=10**6)
@@ -208,14 +220,214 @@ def test_malformed_lines_raise_only_parse_errors(header, usage, parse, data):
 
 def test_reader_checks_optional_field_counts():
     text = "h\npair 1\npair 1 2\n  # comment only\n\npair 1 2 3\n"
-    records = RecordReader(text, "f", "h", {"pair": "<a> [<b>]"})
-    seen = []
+    records = {"pair": ("<a> [<b>]", list, LIST)}
+    good = text[:-len("pair 1 2 3\n")]
+    assert read_records(good, "f", "h", records) == {"pair": [["pair", "1"], ["pair", "1", "2"]]}
     with pytest.raises(ParseError) as excinfo:
-        with records:
-            for fields in records:
-                seen.append(fields)
-    assert seen == [["pair", "1"], ["pair", "1", "2"]]
+        read_records(text, "f", "h", records)
     assert str(excinfo.value) == "f:6: expected: pair <a> [<b>]"
+
+
+class ReferenceRecordReader(AbstractContextManager):
+    """The line-by-line reader the one record reader replaced, as it was.
+
+    Each format looped over its field lists, converting them itself.
+    """
+
+    def __init__(self, text, path, header, usage, single=()):
+        self.lines = text.splitlines()
+        if not self.lines or self.lines[0].strip() != header:
+            raise ParseError(f"missing header {header!r}", path, 1)
+        self.path = path
+        self.usage = usage
+        self.single = frozenset(single)
+        self.line_no = 1
+        self.counts = {kind: len(fields.split()) + 1 for kind, fields in usage.items()}
+
+    def __iter__(self):
+        counts, single, seen = self.counts, self.single, set()
+        for line_no, raw in enumerate(self.lines[1:], start=2):
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            fields = raw.split()
+            if not fields:
+                continue
+            self.line_no = line_no
+            kind = fields[0]
+            if kind in single:
+                if kind in seen:
+                    raise ParseError(f"duplicate {kind} record", self.path, line_no)
+                seen.add(kind)
+            if counts.get(kind) != len(fields):
+                usage = self.usage.get(kind)
+                if usage is None:
+                    raise ParseError(f"unknown record type {kind!r}", self.path, line_no)
+                if not counts[kind] - usage.count("[") <= len(fields) < counts[kind]:
+                    raise ParseError(f"expected: {kind} {usage}", self.path, line_no)
+            yield fields
+
+    def __exit__(self, exc_type, exc, traceback):
+        if isinstance(exc, ValueError):
+            raise ParseError(str(exc), self.path, self.line_no) from exc
+
+
+REFERENCE_GRAPH_USAGE = {"node": "<id> <label> <epsilon>", "edge": "<i> <j>"}
+REFERENCE_SNAPSHOT_USAGE = {"obs": "<i> <value>", "inf": "<i> <j> <value>"}
+REFERENCE_SCENARIO_USAGE = {
+    "truth": "<id> <value>",
+    "noise_sigma": "<value>",
+    "seed": "<int>",
+    "attack": "<mode> <delta> <id,id,...>",
+}
+REFERENCE_SWEEP_USAGE = {
+    "graph_file": "<path>",
+    "graph_random": "n=<int> p=<float> [seed=<int>] [epsilon=<spec>]",
+    "truth_constant": "<value>",
+    "truth": "<id> <value>",
+    "noise_sigma": "<value>",
+    "scenario_seed": "<int>",
+    "attack": "<mode> <delta> <id,id,...>",
+    "k_values": "<v,v,...>",
+    "alpha_values": "<v,v,...>",
+    "mode": "<single-pass|fixed-point>",
+}
+
+
+def reference_graph_from_text(text, path):
+    canonical = graph_read_canonical(text)
+    if canonical:
+        return canonical
+    nodes, edges = [], []
+    with ReferenceRecordReader(text, path, GRAPH_HEADER, REFERENCE_GRAPH_USAGE) as records:
+        for fields in records:
+            if fields[0] == "node":
+                nodes.append(EcuNode(int(fields[1]), fields[2], float(fields[3])))
+            else:
+                edges.append((int(fields[1]), int(fields[2])))
+    graph = DependencyGraph(nodes=tuple(nodes), edges=tuple(edges))
+    violations = validate(graph)
+    if violations:
+        raise GraphInvariantError(violations)
+    return graph
+
+
+def reference_snapshot_from_text(text, path):
+    observed, inferred = {}, {}
+    usage = REFERENCE_SNAPSHOT_USAGE
+    with ReferenceRecordReader(text, path, SNAPSHOT_HEADER, usage) as records:
+        for fields in records:
+            if fields[0] == "obs":
+                if (i := int(fields[1])) in observed:
+                    raise ValueError(f"duplicate obs {i} record")
+                observed[i] = finite_float(fields[2])
+            else:
+                if (edge := (int(fields[1]), int(fields[2]))) in inferred:
+                    raise ValueError(f"duplicate inf {edge[0]} {edge[1]} record")
+                inferred[edge] = finite_float(fields[3])
+    return Snapshot(observed=observed, inferred=inferred)
+
+
+def reference_scenario_from_text(text, path):
+    truth, kwargs = {}, {}
+    usage = REFERENCE_SCENARIO_USAGE
+    single = set(usage) - {"truth"}
+    with ReferenceRecordReader(text, path, SCENARIO_HEADER, usage, single) as records:
+        for fields in records:
+            kind = fields[0]
+            if kind == "truth":
+                if (i := int(fields[1])) in truth:
+                    raise ValueError(f"duplicate truth {i} record")
+                truth[i] = finite_float(fields[2])
+            elif kind == "noise_sigma":
+                kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
+            elif kind == "seed":
+                kwargs[kind] = int(fields[1])
+            else:
+                kwargs[kind] = attack_from_fields(fields)
+    return ScenarioSpec(ground_truth=truth, **kwargs)
+
+
+def reference_parse_sweep_spec(text, path):
+    kwargs, overrides = {}, {}
+    usage = REFERENCE_SWEEP_USAGE
+    single = set(usage) - {"truth"}
+    with ReferenceRecordReader(text, path, SWEEP_HEADER, usage, single) as records:
+        for fields in records:
+            kind = fields[0]
+            if kind == "truth":
+                if (i := int(fields[1])) in overrides:
+                    raise ValueError(f"duplicate truth {i} record")
+                overrides[i] = finite_float(fields[2])
+            elif kind == "graph_file":
+                graph_path = fields[1]
+                if path is not None and not os.path.isabs(graph_path):
+                    graph_path = str(Path(path).parent / graph_path)
+                kwargs[kind] = graph_path
+            elif kind == "graph_random":
+                kwargs[kind] = _random_graph_spec(fields)
+            elif kind == "attack":
+                kwargs[kind] = attack_from_fields(fields)
+            elif kind in ("k_values", "alpha_values"):
+                values = tuple(finite_float(v) for v in fields[1].split(","))
+                _check_grid_axis(kind, values)
+                kwargs[kind] = values
+            elif kind == "mode":
+                kwargs[kind] = check_mode(fields[1])
+            elif kind == "scenario_seed":
+                kwargs[kind] = int(fields[1])
+            elif kind == "noise_sigma":
+                kwargs[kind] = check_noise_sigma(finite_float(fields[1]))
+            else:
+                kwargs[kind] = finite_float(fields[1])
+    try:
+        return SweepSpec(truth_overrides=tuple(overrides.items()), **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from exc
+
+
+@st.composite
+def repeated_records(draw, values, to_text):
+    """A valid document with a copy of one record inserted after it: the
+    copy has an extra field, a non-finite last field, or its first id
+    zero-padded."""
+    lines = to_text(draw(values)).splitlines()
+    if len(lines) > 1:
+        k = draw(st.integers(1, len(lines) - 1))
+        fields = lines[k].split(" ")
+        trap = draw(st.sampled_from(["extra field", "non-finite value", "leading zero"]))
+        if trap == "extra field":
+            fields.append("9")
+        elif trap == "non-finite value":
+            fields[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        else:
+            fields[1] = "0" + fields[1]
+        lines.insert(draw(st.integers(k + 1, len(lines))), " ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+REFERENCES = [
+    (GRAPH_HEADER, GRAPH_RECORDS, graphs(labels=plain_labels), graph_to_text,
+     graph_from_text, reference_graph_from_text),
+    (SNAPSHOT_HEADER, SNAPSHOT_RECORDS, snapshots, snapshot_to_text,
+     snapshot_from_text, reference_snapshot_from_text),
+    (SCENARIO_HEADER, SCENARIO_RECORDS, scenarios, scenario_to_text,
+     scenario_from_text, reference_scenario_from_text),
+    (SWEEP_HEADER, SWEEP_RECORDS, sweep_specs, sweep_spec_to_text,
+     parse_sweep_spec, reference_parse_sweep_spec),
+]
+
+
+@pytest.mark.parametrize(
+    "header, records, values, to_text, parse, reference", REFERENCES,
+    ids=["graph", "snapshot", "scenario", "sweep"],
+)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_reader_matches_the_per_format_loops_it_replaced(
+        header, records, values, to_text, parse, reference, data):
+    text = data.draw(documents(header, records) | repeated_records(values, to_text))
+    path = data.draw(st.sampled_from([None, "doc.txt", "dir/doc.txt"]))
+    assert _outcome(parse, text, path) == _outcome(reference, text, path)
 
 
 # edits of a canonical graph or snapshot document, each applied at a drawn

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import trustconnect.graph as graph_module
 from trustconnect.errors import GraphInvariantError, ParseError
+from trustconnect.experiment import RandomGraphSpec
 from trustconnect.graph import (
     DependencyGraph,
     EcuNode,
@@ -168,6 +169,14 @@ def test_generate_rejects_bad_probability():
         generate_random(5, -0.01)
     with pytest.raises(ValueError):
         generate_random(0, 0.5)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_generate_and_random_graph_spec_reject_a_non_int_n(n):
+    with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+        generate_random(n, 0.5)
+    with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+        RandomGraphSpec(n=n, edge_probability=0.5)
 
 
 def reference_generation(n, p, seed):

@@ -113,6 +113,12 @@ class TestTrustParams:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrustParams(**kwargs)
 
+    @pytest.mark.parametrize("mode", ["single-pass", "fixed-point"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_rejects_a_non_int_max_iterations(self, mode, value):
+        with pytest.raises(ValueError, match=f"^max_iterations must be an int, got {value!r}$"):
+            TrustParams(k=1.0, alpha=0.1, mode=mode, max_iterations=value)
+
     def test_defaults(self):
         params = TrustParams(k=1.0, alpha=0.1)
         assert params.c0 == 1.0
@@ -542,13 +548,6 @@ class TestFullReport:
             with pytest.raises(ValueError, match=message):
                 call()
 
-    def test_entry_lookup(self):
-        graph, snapshot = self.make_attacked()
-        report = full_report(graph, snapshot, TrustParams(k=1.0, alpha=0.1))
-        assert report.entry(3).id == 3
-        with pytest.raises(ValueError):
-            report.entry(99)
-
 
 class TestReportSerialization:
     def make_report(self):
@@ -586,7 +585,7 @@ class TestReportSerialization:
         assert first[0] == "0"
         assert first[1] == "E0"
         # repr floats survive a parse round trip exactly
-        assert float(first[3]) == report.entry(0).btv
+        assert float(first[3]) == {e.id: e for e in report.entries}[0].btv
 
     def test_json_shape(self):
         report = self.make_report()

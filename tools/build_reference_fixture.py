@@ -166,14 +166,15 @@ def verify(graph, scenario):
         for alpha in ALPHA_VALUES:
             report = full_report(graph, snapshot, TrustParams(k=k, alpha=alpha))
             gaps = {}
+            by_id = {e.id: e for e in report.entries}
             for e in report.entries:
                 assert abs(e.eatv - e.btv) <= (1 - e.epsilon) * abs(e.btv - e.trust) + 1e-12
                 gaps[e.id] = abs(e.eatv - e.btv) / max(e.btv, 1e-12)
             for i in RESILIENT:
-                entry = report.entry(i)
+                entry = by_id[i]
                 assert entry.trust == entry.btv, (k, alpha, i, "trust moved")
             for i in EXPOSED:
-                entry = report.entry(i)
+                entry = by_id[i]
                 assert entry.trust < entry.btv, (k, alpha, i, "trust did not drop")
             worst_resilient = max(gaps[i] for i in RESILIENT)
             best_exposed = min(gaps[i] for i in EXPOSED)
@@ -183,7 +184,9 @@ def verify(graph, scenario):
 
     # alpha-monotonicity of T per fixed k, k-monotonicity per fixed alpha
     reports = {
-        (k, alpha): full_report(graph, snapshot, TrustParams(k=k, alpha=alpha))
+        (k, alpha): {
+            e.id: e for e in full_report(graph, snapshot, TrustParams(k=k, alpha=alpha)).entries
+        }
         for k in K_VALUES
         for alpha in ALPHA_VALUES
     }
@@ -191,7 +194,7 @@ def verify(graph, scenario):
     for k in K_VALUES:
         for lo, hi in zip(ALPHA_VALUES, ALPHA_VALUES[1:]):
             for i in adjacency:
-                a, b = reports[(k, lo)].entry(i).trust, reports[(k, hi)].entry(i).trust
+                a, b = reports[(k, lo)][i].trust, reports[(k, hi)][i].trust
                 assert a <= b, (k, lo, hi, i)
                 if b > a:
                     strictly_up = True
@@ -199,7 +202,7 @@ def verify(graph, scenario):
     for alpha in ALPHA_VALUES:
         for lo, hi in zip(K_VALUES, K_VALUES[1:]):
             for i in adjacency:
-                assert reports[(hi, alpha)].entry(i).trust <= reports[(lo, alpha)].entry(i).trust
+                assert reports[(hi, alpha)][i].trust <= reports[(lo, alpha)][i].trust
 
     # fixed-point usability at the most demanding grid corner
     radius = spectral_radius(graph, max(ALPHA_VALUES))
