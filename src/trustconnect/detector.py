@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .graph import DependencyGraph
 from .errors import require_finite
-from .snapshot import Snapshot, edge_deviations
+from .snapshot import Snapshot, deviations
 from .trust import TrustParams, edge_weights, json_text, params_line
 
 DETECTION_HEADER = "trustconnect-detection v1"
@@ -103,7 +103,7 @@ def detect(
     """
     det_params = det_params or DetectorParams()
     cg = graph.compiled
-    weights = edge_weights(edge_deviations(graph, snapshot), trust_params.k)
+    weights = edge_weights(deviations(graph, snapshot), trust_params.k)
     entries = []
     for node, start, stop in zip(graph.nodes, cg.offsets, cg.offsets[1:]):
         contradicting = []

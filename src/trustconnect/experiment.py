@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import SINGLE, ParseError, finite_float, is_one_field, read_records, require_finite
+from .errors import (SINGLE, ParseError, finite_float, is_one_field, read_records,
+                     require_finite, require_int)
 from .graph import (
     DependencyGraph,
     EpsilonDistribution,
@@ -60,7 +61,7 @@ from .snapshot import (
     check_ground_truth,
     check_noise_sigma,
     constant_ground_truth,
-    edge_deviations,
+    deviations,
     scenario_from_text,
     synthesize_snapshot,
 )
@@ -85,6 +86,7 @@ class RandomGraphSpec:
 
     def __post_init__(self):
         check_random_graph(self.n, self.edge_probability)
+        require_int("seed", self.seed)
 
 
 def _check_grid_axis(name, values):
@@ -125,6 +127,7 @@ class SweepSpec:
         if (self.graph_file is None) == (self.graph_random is None):
             raise ValueError("exactly one of graph_file and graph_random is required")
         require_finite(self, "truth_constant", "noise_sigma")
+        require_int("scenario_seed", self.scenario_seed)
         check_ground_truth(self.truth_overrides)
         check_noise_sigma(self.noise_sigma)
         _check_grid_axis("k_values", self.k_values)
@@ -168,9 +171,6 @@ class SweepResult:
     reports: dict[tuple[float, float], TrustReport]
     graph_sha256: str
 
-    def report(self, k: float, alpha: float) -> TrustReport:
-        return self.reports[(k, alpha)]
-
 
 def run_sweep_on(
     graph: DependencyGraph,
@@ -185,7 +185,7 @@ def run_sweep_on(
     _check_grid_axis("k_values", k_values)
     _check_grid_axis("alpha_values", alpha_values)
     snapshot = synthesize_snapshot(graph, scenario)
-    devs = edge_deviations(graph, snapshot)
+    devs = deviations(graph, snapshot)
     reports = {}
     for k in k_values:
         for alpha in alpha_values:
@@ -371,9 +371,9 @@ def check_gap_ordering(
 
     Keyed (k, alpha) in the order of ``result.reports``. Per cell:
     (bound) every node's |eatv - btv| stays within
-    (1 - epsilon) * |btv - trust| + 1e-12; (ordering) each resilient
-    node's relative gap is strictly below each exposed node's, judged
-    only on pairs where at least one side's trust actually moved.
+    (1 - epsilon) * |btv - trust| + 1e-12 * max(1, |btv|, |trust|); (ordering)
+    each resilient node's relative gap is strictly below each exposed node's,
+    judged only on pairs where at least one side's trust actually moved.
     Cells where no pair carries signal report the ordering as vacuous.
     """
     node_ids = set(result.graph.node_ids)
@@ -388,7 +388,8 @@ def check_gap_ordering(
         pairs = [(r, e) for r in resilient for e in exposed if moved[r] or moved[e]]
         checks[cell] = CellCheck(
             bound_ok=all(
-                abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust) + 1e-12
+                abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust)
+                + 1e-12 * max(1.0, abs(e.btv), abs(e.trust))
                 for e in report.entries
             ),
             ordering_ok=bool(pairs) and all(gaps[r] < gaps[e] for r, e in pairs),
@@ -431,7 +432,7 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
         f"mode {result.mode}",
     ]
     for stem, (k, alpha) in cells.items():
-        report = result.report(k, alpha)
+        report = result.reports[(k, alpha)]
         csv_path = out_dir / f"{stem}.csv"
         svg_path = out_dir / f"{stem}.svg"
         csv_path.write_text(report.to_csv(), encoding="utf-8", newline="\n")

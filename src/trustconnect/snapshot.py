@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .errors import (
     ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records,
-    require_finite,
+    require_finite, require_int,
 )
 from .graph import DependencyGraph
 
@@ -106,6 +106,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         require_finite(self, "noise_sigma")
+        require_int("seed", self.seed)
         check_noise_sigma(self.noise_sigma)
         check_ground_truth(self.ground_truth.items())
 
@@ -192,7 +193,7 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
     return Snapshot(observed=observed, inferred=inferred)
 
 
-def edge_deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:
+def deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:
     """|observed[i] - inferred[(i, j)]| for every edge, in ``graph.edges`` order.
 
     Fails closed: raises SnapshotMismatchError naming the first node or
@@ -230,11 +231,6 @@ def _check_edges(graph: DependencyGraph, snapshot: Snapshot) -> None:
             )
         if not math.isfinite(observed - inferred):
             raise SnapshotMismatchError(f"deviation on edge ({i}, {j}) overflows")
-
-
-def deviations(graph: DependencyGraph, snapshot: Snapshot) -> dict[tuple[int, int], float]:
-    """Per-edge absolute gap between self-reported and inferred values."""
-    return dict(zip(graph.edges, edge_deviations(graph, snapshot)))
 
 
 def validate_snapshot(graph: DependencyGraph, snapshot: Snapshot) -> list[str]:

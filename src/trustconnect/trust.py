@@ -45,7 +45,7 @@ from itertools import chain, islice, repeat
 
 from .errors import require_finite, require_int
 from .graph import CompiledGraph, DependencyGraph
-from .snapshot import Snapshot, deviations, edge_deviations
+from .snapshot import Snapshot, deviations
 from .svgchart import grouped_bar_svg
 
 REPORT_HEADER = "trustconnect-report v1"
@@ -180,7 +180,7 @@ def trust_scores(
 ) -> dict[int, float]:
     """Per-node trust score for one snapshot; warns on non-convergence."""
     cg = graph.compiled
-    weights = edge_weights(edge_deviations(graph, snapshot), params.k)
+    weights = edge_weights(deviations(graph, snapshot), params.k)
     scores, converged = _propagate(cg, _coefficients(cg, params.alpha), weights, params)
     if not converged:
         _warn_unconverged(params, "evaluation")
@@ -347,10 +347,7 @@ def full_report(
     params: TrustParams,
 ) -> TrustReport:
     """Assemble baseline, trust, and adjusted trust for every node."""
-    # through the public deviations(), so layer tracing (perfbench/spans.py)
-    # times this step; its keys follow graph.edges, so values are edge-aligned
-    devs = deviations(graph, snapshot).values()
-    return report_from_deviations(graph, devs, params)
+    return report_from_deviations(graph, deviations(graph, snapshot), params)
 
 
 def report_from_deviations(
@@ -360,7 +357,7 @@ def report_from_deviations(
 ) -> TrustReport:
     """:func:`full_report` from deviations in ``graph.edges`` order.
 
-    ``devs`` is what ``snapshot.edge_deviations`` returns, so a caller
+    ``devs`` is what ``snapshot.deviations`` returns, so a caller
     evaluating one snapshot under many parameters computes it once.
     """
     cg = graph.compiled

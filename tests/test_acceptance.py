@@ -195,7 +195,7 @@ def test_criterion_4_resilience_narrative(announce):
                 for alpha in DEFAULT_ALPHA_VALUES:
                     cell = checks[(k, alpha)]
                     assert not cell.ordering_vacuous
-                    report = result.report(k, alpha)
+                    report = result.reports[(k, alpha)]
                     for entry in report.entries:
                         bound = (1.0 - epsilons[entry.id]) * abs(
                             entry.btv - entry.trust
@@ -244,7 +244,7 @@ def test_criterion_6_alpha_monotonicity(announce):
             result = run_sweep_on(graph, scenario)
             for k in DEFAULT_K_VALUES:
                 columns = [
-                    {e.id: e.trust for e in result.report(k, a).entries}
+                    {e.id: e.trust for e in result.reports[(k, a)].entries}
                     for a in DEFAULT_ALPHA_VALUES
                 ]
                 for earlier, later in zip(columns, columns[1:]):

@@ -117,7 +117,7 @@ class TestEval:
     def test_matches_sweep_cell_byte_for_byte(self, fixture_dir, capsys):
         graph, scenario = reference_fixture()
         result = run_sweep_on(graph, scenario, k_values=(2.0,), alpha_values=(0.4,))
-        expected = result.report(2.0, 0.4).to_csv()
+        expected = result.reports[(2.0, 0.4)].to_csv()
         rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
                    "--scenario-file", str(fixture_dir / "reference_scenario.txt"),
                    "--k", "2.0", "--alpha", "0.4", "--format", "csv"])

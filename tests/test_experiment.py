@@ -1,5 +1,6 @@
 """Sweep, fixture, gap-ordering, and figure-emission tests."""
 
+import dataclasses
 import hashlib
 import math
 from importlib import resources
@@ -67,9 +68,10 @@ def nested_loop_gap_check(result, resilient, exposed):
     cells = []
     for k in result.k_values:
         for alpha in result.alpha_values:
-            report = result.report(k, alpha)
+            report = result.reports[(k, alpha)]
             bound_ok = all(
-                abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust) + 1e-12
+                abs(e.eatv - e.btv) <= (1.0 - e.epsilon) * abs(e.btv - e.trust)
+                + 1e-12 * max(1.0, abs(e.btv), abs(e.trust))
                 for e in report.entries
             )
             moved = {i: abs(entry(report, i).btv - entry(report, i).trust) > 0
@@ -168,6 +170,21 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(graph_file="g.txt", **kwargs)
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: ScenarioSpec(ground_truth={0: 1.0}, seed=v), "seed"),
+            (lambda v: SweepSpec(graph_file="g.txt", scenario_seed=v), "scenario_seed"),
+            (lambda v: RandomGraphSpec(n=3, edge_probability=0.5, seed=v), "seed"),
+        ],
+        ids=["ScenarioSpec", "SweepSpec", "RandomGraphSpec"],
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_seeds_must_be_ints(self, build, field, value):
+        # a float or bool seed would be written out and then rejected by the reader
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            build(value)
+
 
 class TestRunSweep:
     def test_degenerate_grid_equals_direct_report(self):
@@ -175,7 +192,7 @@ class TestRunSweep:
         result = run_sweep_on(graph, scenario, k_values=(1.0,), alpha_values=(0.2,))
         assert set(result.reports) == {(1.0, 0.2)}
         direct = full_report(graph, result.snapshot, TrustParams(k=1.0, alpha=0.2))
-        cell = result.report(1.0, 0.2)
+        cell = result.reports[(1.0, 0.2)]
         assert cell.entries == direct.entries
 
     def test_clean_scenario_keeps_trust_at_baseline_in_every_cell(self):
@@ -199,7 +216,7 @@ class TestRunSweep:
         result = run_sweep_on(graph, scenario)
         for k in result.k_values:
             for lo, hi in zip(result.alpha_values, result.alpha_values[1:]):
-                low, high = result.report(k, lo), result.report(k, hi)
+                low, high = result.reports[(k, lo)], result.reports[(k, hi)]
                 assert all(
                     a.trust <= b.trust for a, b in zip(low.entries, high.entries)
                 )
@@ -209,7 +226,7 @@ class TestRunSweep:
         result = run_sweep_on(graph, scenario)
         for alpha in result.alpha_values:
             for lo, hi in zip(result.k_values, result.k_values[1:]):
-                low, high = result.report(lo, alpha), result.report(hi, alpha)
+                low, high = result.reports[(lo, alpha)], result.reports[(hi, alpha)]
                 assert all(
                     b.trust <= a.trust for a, b in zip(low.entries, high.entries)
                 )
@@ -218,14 +235,14 @@ class TestRunSweep:
         graph, scenario = reference_fixture()
         full = run_sweep_on(graph, scenario, k_values=(0.1, 2.0), alpha_values=(0.05, 0.4))
         single = run_sweep_on(graph, scenario, k_values=(2.0,), alpha_values=(0.4,))
-        assert full.report(2.0, 0.4) == single.report(2.0, 0.4)
+        assert full.reports[(2.0, 0.4)] == single.reports[(2.0, 0.4)]
 
     def test_fixed_point_sweep_converges_on_fixture(self):
         graph, scenario = reference_fixture()
         result = run_sweep_on(
             graph, scenario, k_values=(2.0,), alpha_values=(0.4,), mode="fixed-point"
         )
-        assert result.report(2.0, 0.4).converged
+        assert result.reports[(2.0, 0.4)].converged
 
 
 class TestReferenceFixture:
@@ -325,6 +342,34 @@ class TestGapOrdering:
         with pytest.raises(KeyError):
             checks[(9.9, 9.9)]
 
+    @pytest.mark.filterwarnings("ignore::trustconnect.trust.NonConvergenceWarning")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bound_slack_scales_with_diverged_values(self, seed):
+        graph = generate_random(n=8, edge_probability=0.5, seed=seed)
+        scenario = ScenarioSpec(ground_truth=constant_ground_truth(graph, 5.0),
+                                noise_sigma=1.5, seed=seed)
+        result = run_sweep_on(graph, scenario, k_values=(0.5,), alpha_values=(2.0,),
+                              mode="fixed-point")
+        report = result.reports[(0.5, 2.0)]
+        assert not report.converged
+        assert max(abs(e.trust) for e in report.entries) > 1e30
+        assert check_gap_ordering(result, (0,), (1,))[(0.5, 2.0)].bound_ok
+
+    def test_bound_still_catches_a_small_break_near_one(self):
+        graph = DependencyGraph(
+            nodes=(EcuNode(id=0, label="E0", epsilon=0.5), EcuNode(id=1, label="E1", epsilon=0.5)),
+            edges=((0, 1),),
+        )
+        result = run_sweep_on(graph, clean_scenario(graph), k_values=(1.0,), alpha_values=(0.1,))
+        report = result.reports[(1.0, 0.1)]
+        entry, still = report.entries
+        assert entry.btv == entry.trust == entry.eatv == pytest.approx(1.05)
+        assert check_gap_ordering(result, (0,), (1,))[(1.0, 0.1)].bound_ok
+        moved = dataclasses.replace(entry, eatv=entry.eatv + 1e-6)
+        report = dataclasses.replace(report, entries=(moved, still))
+        broken = dataclasses.replace(result, reports={(1.0, 0.1): report})
+        assert not check_gap_ordering(broken, (0,), (1,))[(1.0, 0.1)].bound_ok
+
     @settings(max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("ignore::trustconnect.trust.NonConvergenceWarning")
     @given(gap_check_cases())
@@ -367,7 +412,7 @@ class TestEmitFigureData:
         graph, scenario = reference_fixture()
         result = run_sweep_on(graph, scenario, k_values=(0.5,), alpha_values=(0.1,))
         emit_figure_data(result, tmp_path)
-        report = result.report(0.5, 0.1)
+        report = result.reports[(0.5, 0.1)]
         lines = (tmp_path / "sweep_k0.5_a0.1.csv").read_text().splitlines()
         assert lines[0] == "id,label,epsilon,btv,trust,eatv"
         by_id = {e.id: e for e in report.entries}

@@ -17,7 +17,6 @@ from trustconnect.snapshot import (
     _check_edges,
     constant_ground_truth,
     deviations,
-    edge_deviations,
     from_text,
     load_snapshot,
     save_snapshot,
@@ -45,7 +44,7 @@ def test_noise_free_no_attack_has_zero_deviation(graph):
     snap = synthesize_snapshot(graph, clean_scenario(graph))
     for (i, j), value in snap.inferred.items():
         assert value == snap.observed[i]
-    assert all(d == 0.0 for d in deviations(graph, snap).values())
+    assert all(d == 0.0 for d in deviations(graph, snap))
 
 
 def test_self_injection_shifts_observed_only(graph):
@@ -56,7 +55,7 @@ def test_self_injection_shifts_observed_only(graph):
     clean = synthesize_snapshot(graph, clean_scenario(graph))
     assert snap.inferred == clean.inferred
     d = deviations(graph, snap)
-    for (i, j), value in d.items():
+    for (i, j), value in zip(graph.edges, d, strict=True):
         assert value == (2.0 if i == 4 else 0.0)
 
 
@@ -64,7 +63,7 @@ def test_inference_corruption_hits_in_edges_of_compromised(graph):
     attack = AttackSpec(compromised={7}, mode="inference-corruption", delta=1.0)
     snap = synthesize_snapshot(graph, clean_scenario(graph, attack=attack))
     d = deviations(graph, snap)
-    for (i, j), value in d.items():
+    for (i, j), value in zip(graph.edges, d, strict=True):
         assert value == (1.0 if j == 7 else 0.0)
 
 
@@ -74,7 +73,7 @@ def test_both_mode_applies_both_surfaces(graph):
     snap = synthesize_snapshot(graph, scenario)
     assert snap.observed[4] == scenario.ground_truth[4] + 3.0
     d = deviations(graph, snap)
-    for (i, j), value in d.items():
+    for (i, j), value in zip(graph.edges, d, strict=True):
         if i == 4 and j == 4:
             raise AssertionError("self-loops cannot exist")
         if i == 4:
@@ -157,7 +156,8 @@ def two_node_snapshot(obs_0, inf_01):
 )
 def test_deviation_arithmetic(obs, inf, expected):
     g, snap = two_node_snapshot(obs, inf)
-    assert deviations(g, snap) == {(0, 1): expected}
+    assert g.edges == ((0, 1),)
+    assert deviations(g, snap) == [expected]
 
 
 def test_deviations_require_complete_snapshot():
@@ -192,19 +192,19 @@ def test_finite_deviations_whose_sum_overflows_pass():
         edges=((0, 1), (0, 2)),
     )
     snap = Snapshot(observed={0: 1e308, 1: 0.0, 2: 0.0}, inferred={(0, 1): 0.0, (0, 2): 0.0})
-    assert edge_deviations(g, snap) == [1e308, 1e308]
+    assert deviations(g, snap) == [1e308, 1e308]
 
 
 def test_edge_deviations_follow_edge_order(graph):
     attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
     snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
-    devs = deviations(graph, snap)
-    assert list(devs) == list(graph.edges)
-    assert edge_deviations(graph, snap) == list(devs.values())
+    assert deviations(graph, snap) == [
+        abs(snap.observed[i] - snap.inferred[(i, j)]) for i, j in graph.edges
+    ]
 
 
 def _comprehension_deviations(graph, snapshot):
-    """``edge_deviations`` by its per-edge comprehension only: the fast path's reference."""
+    """``deviations`` by its per-edge comprehension only: the fast path's reference."""
     observed, inferred = snapshot.observed, snapshot.inferred
     try:
         result = [abs(observed[edge[0]] - inferred[edge]) for edge in graph.edges]
@@ -274,7 +274,7 @@ def deviation_inputs(draw, case):
 def test_edge_deviations_fast_path_matches_the_comprehension(case, data):
     graph, snapshot = data.draw(deviation_inputs(case))
     expected = _deviation_outcome(_comprehension_deviations, graph, snapshot)
-    assert _deviation_outcome(edge_deviations, graph, snapshot) == expected
+    assert _deviation_outcome(deviations, graph, snapshot) == expected
     assert isinstance(expected, list) == (case in DEVIATIONS_RESULT)
     keys = tuple(snapshot.inferred)
     assert (keys == graph.edges) == (case not in ("swapped keys", "missing key", "extra key"))
@@ -285,7 +285,17 @@ def test_edge_deviations_fast_path_matches_the_comprehension(case, data):
 def test_deviations_nonnegative(graph):
     attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
     snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
-    assert all(d >= 0.0 for d in deviations(graph, snap).values())
+    assert all(d >= 0.0 for d in deviations(graph, snap))
+
+
+def test_every_package_export_resolves():
+    import trustconnect
+
+    assert [name for name in trustconnect.__all__ if not hasattr(trustconnect, name)] == []
+    namespace = {}
+    exec("from trustconnect import *", namespace)
+    assert set(trustconnect.__all__) <= namespace.keys()
+    assert namespace["deviations"] is deviations
 
 
 # ---------------------------------------------------------------------------

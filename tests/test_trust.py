@@ -15,7 +15,7 @@ from trustconnect.snapshot import (
     ScenarioSpec,
     Snapshot,
     constant_ground_truth,
-    edge_deviations,
+    deviations,
     synthesize_snapshot,
 )
 from trustconnect.trust import (
@@ -75,10 +75,10 @@ class TestEdgeWeight:
         inferred=st.floats(min_value=-1e6, max_value=1e6),
     )
     def test_deviations_it_is_given_are_never_negative(self, observed, inferred):
-        # edge_weights does not check its input; edge_deviations is what feeds it
+        # edge_weights does not check its input; deviations is what feeds it
         graph = build([(0, 0.5), (1, 0.5)], [(0, 1)])
         snapshot = Snapshot(observed={0: observed, 1: 0.0}, inferred={(0, 1): inferred})
-        [d] = edge_deviations(graph, snapshot)
+        [d] = deviations(graph, snapshot)
         assert d >= 0.0
         assert edge_weights([d], 1.0)[0] <= 1.0
 
