@@ -42,14 +42,17 @@ from .snapshot import (
 )
 from .trust import MODES, TrustParams, full_report
 
-_SCENARIO_FLAG_NAMES = (
-    "truth_constant",
-    "noise_sigma",
-    "attack_nodes",
-    "attack_mode",
-    "delta",
-    "scenario_seed",
-)
+# the inline scenario flags, by dest: each one's add_argument keywords
+_SCENARIO_FLAGS = {
+    "truth_constant": dict(type=float, metavar="V",
+                           help="constant ground truth for every node (default 0.0)"),
+    "noise_sigma": dict(type=float, metavar="S", help="gaussian inference noise (default 0.0)"),
+    "attack_nodes": dict(type=parse_ids, metavar="IDS",
+                         help="comma-separated compromised node ids"),
+    "attack_mode": dict(choices=ATTACK_MODES, help="attack mode (default self-injection)"),
+    "delta": dict(type=float, metavar="D", help="attack offset (default 1.0)"),
+    "scenario_seed": dict(type=int, metavar="N", help="noise stream seed"),
+}
 
 
 def _resolve_seed(args) -> int:
@@ -66,7 +69,7 @@ def _resolve_seed(args) -> int:
 
 def _inline_scenario_flags(args) -> list[str]:
     return [
-        name for name in _SCENARIO_FLAG_NAMES if getattr(args, name) is not None
+        name for name in _SCENARIO_FLAGS if getattr(args, name) is not None
     ]
 
 
@@ -113,17 +116,18 @@ def _build_scenario(args, graph) -> ScenarioSpec:
     )
 
 
-def _resolve_snapshot(args, graph):
-    if args.snapshot is not None:
-        if args.scenario_file is not None or _inline_scenario_flags(args):
-            raise ValueError("--snapshot and scenario flags are mutually exclusive")
-        try:
-            return load_snapshot(args.snapshot, graph)
-        except SnapshotMismatchError as exc:
-            raise SnapshotMismatchError(
-                f"{args.snapshot} does not match {args.graph}: {exc}"
-            ) from None
-    return synthesize_snapshot(graph, _build_scenario(args, graph))
+def _load_inputs(args):
+    """The graph and snapshot that eval and detect read: (graph, snapshot)."""
+    graph = load_graph(args.graph)
+    if args.snapshot is None:
+        return graph, synthesize_snapshot(graph, _build_scenario(args, graph))
+    if args.scenario_file is not None or _inline_scenario_flags(args):
+        raise ValueError("--snapshot and scenario flags are mutually exclusive")
+    try:
+        return graph, load_snapshot(args.snapshot, graph)
+    except SnapshotMismatchError as exc:
+        raise SnapshotMismatchError(
+            f"{args.snapshot} does not match {args.graph}: {exc}") from None
 
 
 def _emit(report, args) -> None:
@@ -149,8 +153,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    graph = load_graph(args.graph)
-    snapshot = _resolve_snapshot(args, graph)
+    graph, snapshot = _load_inputs(args)
     params = TrustParams(k=args.k, alpha=args.alpha, c0=args.c0, mode=args.mode)
     report = full_report(graph, snapshot, params)
     svg = None if args.svg is None else report.to_svg()  # a refused chart writes nothing
@@ -169,8 +172,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    graph = load_graph(args.graph)
-    snapshot = _resolve_snapshot(args, graph)
+    graph, snapshot = _load_inputs(args)
     # contradiction evidence reads only the weight decay k
     trust_params = TrustParams(k=args.k, alpha=0.0)
     det_params = DetectorParams(
@@ -199,39 +201,9 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("snapshot source")
-    group.add_argument("--snapshot", metavar="FILE", help="load a snapshot file")
-    group.add_argument(
-        "--scenario-file", metavar="FILE", help="synthesize from a scenario file"
-    )
-    group.add_argument(
-        "--truth-constant", type=float, metavar="V",
-        help="constant ground truth for every node (default 0.0)",
-    )
-    group.add_argument(
-        "--noise-sigma", type=float, metavar="S",
-        help="gaussian inference noise (default 0.0)",
-    )
-    group.add_argument(
-        "--attack-nodes", type=parse_ids, metavar="IDS",
-        help="comma-separated compromised node ids",
-    )
-    group.add_argument(
-        "--attack-mode", choices=ATTACK_MODES,
-        help="attack mode (default self-injection)",
-    )
-    group.add_argument(
-        "--delta", type=float, metavar="D", help="attack offset (default 1.0)"
-    )
-    group.add_argument(
-        "--scenario-seed", type=int, metavar="N", help="noise stream seed"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # one parent per shared flag, so each command takes only those it reads
-    seed, output_dir, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    # one parent per shared flag set, so each command takes only those it reads
+    seed, output_dir, inputs = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     seed.add_argument(
         "--seed", type=int, default=None,
         help="seed for randomized inputs (fallback: TRUSTCONNECT_SEED, then 0)",
@@ -239,10 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
     output_dir.add_argument(
         "--output-dir", default=".", metavar="DIR", help="directory for written files"
     )
-    fmt.add_argument(
+    inputs.add_argument(
         "--format", choices=("text", "csv", "json"), default="text",
         help="stdout/report format",
     )
+    inputs.add_argument("--graph", required=True, metavar="FILE", help="graph file")
+    source = inputs.add_argument_group("snapshot source")
+    source.add_argument("--snapshot", metavar="FILE", help="load a snapshot file")
+    source.add_argument(
+        "--scenario-file", metavar="FILE", help="synthesize from a scenario file"
+    )
+    for dest, keywords in _SCENARIO_FLAGS.items():
+        source.add_argument("--" + dest.replace("_", "-"), **keywords)
+    inputs.add_argument("--k", type=float, default=1.0, help="weight decay (default 1.0)")
+    inputs.add_argument("--out", metavar="FILE", help="write the report here, not stdout")
 
     parser = argparse.ArgumentParser(
         prog="trustconnect",
@@ -265,11 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "eval", parents=[seed, fmt], help="trust report for one graph and snapshot"
+        "eval", parents=[seed, inputs], help="trust report for one graph and snapshot"
     )
-    p.add_argument("--graph", required=True, metavar="FILE", help="graph file")
-    _add_scenario_flags(p)
-    p.add_argument("--k", type=float, default=1.0, help="weight decay (default 1.0)")
     p.add_argument(
         "--alpha", type=float, default=0.1, help="neighbor trust gain (default 0.1)"
     )
@@ -277,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=MODES, default="single-pass", help="evaluation mode"
     )
-    p.add_argument("--out", metavar="FILE", help="write the report here, not stdout")
     p.add_argument("--svg", metavar="FILE", help="also render a grouped-bar chart")
     p.set_defaults(func=cmd_eval)
 
@@ -288,11 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "detect", parents=[seed, fmt], help="rank ECUs by contradiction evidence"
+        "detect", parents=[seed, inputs], help="rank ECUs by contradiction evidence"
     )
-    p.add_argument("--graph", required=True, metavar="FILE", help="graph file")
-    _add_scenario_flags(p)
-    p.add_argument("--k", type=float, default=1.0, help="weight decay (default 1.0)")
     p.add_argument(
         "--weight-threshold", type=float, default=0.5,
         help="edge weight below this is a contradiction (default 0.5)",
@@ -304,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fail-on-flag", action="store_true", help="exit 3 if any node is flagged"
     )
-    p.add_argument("--out", metavar="FILE", help="write the report here, not stdout")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser(

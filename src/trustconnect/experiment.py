@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import (SINGLE, ParseError, finite_float, is_one_field, read_records,
+from .errors import (SINGLE, ParseError, finite_float, is_one_field, read_records, read_text,
                      require_finite, require_int)
 from .graph import (
     DependencyGraph,
@@ -298,7 +298,7 @@ def parse_sweep_spec(text: str, path: str | None = None) -> SweepSpec:
 
 
 def load_sweep_spec(path) -> SweepSpec:
-    return parse_sweep_spec(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return parse_sweep_spec(read_text(path), path=str(path))
 
 
 def save_sweep_spec(spec: SweepSpec, path) -> None:

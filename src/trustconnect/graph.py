@@ -27,7 +27,7 @@ from operator import eq, itemgetter, lt
 from pathlib import Path
 
 from .errors import (
-    LIST, GraphInvariantError, is_one_field, read_columns, read_records, require_int,
+    LIST, GraphInvariantError, is_one_field, read_columns, read_records, read_text, require_int,
 )
 
 GRAPH_HEADER = "trustconnect-graph v1"
@@ -327,4 +327,4 @@ def save_graph(graph: DependencyGraph, path) -> None:
 
 
 def load_graph(path) -> DependencyGraph:
-    return from_text(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return from_text(read_text(path), path=str(path))

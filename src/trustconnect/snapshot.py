@@ -39,7 +39,7 @@ from operator import itemgetter, sub
 from pathlib import Path
 
 from .errors import (
-    ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records,
+    ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records, read_text,
     require_finite, require_int,
 )
 from .graph import DependencyGraph
@@ -311,7 +311,7 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 
 
 def load_snapshot(path, graph: DependencyGraph | None = None) -> Snapshot:
-    return from_text(Path(path).read_text(encoding="utf-8"), str(path), graph)
+    return from_text(read_text(path), str(path), graph)
 
 
 def scenario_to_text(scenario: ScenarioSpec) -> str:
@@ -335,4 +335,4 @@ def save_scenario(scenario: ScenarioSpec, path) -> None:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    return scenario_from_text(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return scenario_from_text(read_text(path), path=str(path))

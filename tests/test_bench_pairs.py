@@ -134,3 +134,13 @@ def test_traced_pairs_alternate_which_side_runs_first(monkeypatch):
     assert [checkout for checkout, _, _ in calls] == ["P", "C", "C", "P", "P", "C"]
     assert {(workload, trace) for _, workload, trace in calls} == {("w", 1)}
     assert len(runs["parent"]) == len(runs["change"]) == bench_pairs.TRACED_PAIRS == 3
+
+
+def test_src_lines_totals_the_package_modules_as_wc_counts_them(tmp_path):
+    package = tmp_path / "src" / "trustconnect"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nno newline at the end")
+    (package / "data" / "c.py").write_text("not a package module\n")
+    (package / "notes.txt").write_text("not python\n")
+    assert bench_pairs.src_lines(tmp_path) == 3

@@ -13,7 +13,7 @@ from importlib import resources
 
 import pytest
 
-from trustconnect.cli import main
+from trustconnect.cli import build_parser, main
 from trustconnect.experiment import (
     reference_fixture,
     run_sweep_on,
@@ -104,6 +104,13 @@ class TestGenerate:
         assert "TRUSTCONNECT_SEED" in capsys.readouterr().err
 
 
+# each inline scenario flag, with a value it accepts on the reference fixture
+INLINE_SCENARIO_FLAGS = [
+    ("--truth-constant", "5.0"), ("--noise-sigma", "0.5"), ("--attack-nodes", "2"),
+    ("--attack-mode", "both"), ("--delta", "9.0"), ("--scenario-seed", "3"),
+]
+
+
 class TestEval:
     def test_clean_scenario_gives_unit_network_trust(self, fixture_dir, capsys):
         rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
@@ -179,21 +186,23 @@ class TestEval:
         save_snapshot(
             Snapshot(observed={0: 1.0, 1: 1.0}, inferred={(0, 1): 1.0}), snap_path
         )
-        rc = main(["eval", "--graph", str(graph_path),
-                   "--snapshot", str(snap_path), "--truth-constant", "5.0"])
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        for flag, value in INLINE_SCENARIO_FLAGS:
+            rc = main(["eval", "--graph", str(graph_path),
+                       "--snapshot", str(snap_path), flag, value])
+            assert rc == 2, flag
+            assert "mutually exclusive" in capsys.readouterr().err, flag
 
     def test_inline_flag_overrides_scenario_file_with_warning(
         self, fixture_dir, capsys
     ):
-        rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
-                   "--scenario-file", str(fixture_dir / "reference_scenario.txt"),
-                   "--delta", "9.0"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "override" in err
-        assert "--delta" in err
+        scenario = fixture_dir / "reference_scenario.txt"
+        for flag, value in INLINE_SCENARIO_FLAGS:
+            rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                       "--scenario-file", str(scenario), flag, value])
+            assert rc == 0, flag
+            assert capsys.readouterr().err == (
+                f"warning: inline scenario flags override {scenario}: {flag}\n"
+            )
 
     def test_attack_mode_without_attack_exits_2(self, fixture_dir, capsys):
         rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
@@ -321,6 +330,19 @@ def test_malformed_input_file_exits_2_naming_file_and_line(
     assert f"error: {path}:{line_no}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_non_utf8_input_file_exits_2_naming_file_and_line(fixture_dir, tmp_path, capsys, command):
+    path = fixture_dir / ("reference_graph.txt" if command == "eval" else "reference_sweep.txt")
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n# \xff\n" + rest)
+    argv = {"eval": ["eval", "--graph", str(path)],
+            "sweep": ["sweep", str(path), "--output-dir", str(tmp_path / "out")]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {path}:2: invalid UTF-8 byte 0xff: invalid start byte" in captured.err
+
+
 @pytest.mark.parametrize(
     "header, records",
     [
@@ -433,6 +455,25 @@ SHARED_FLAGS_READ = {
     "fixture": {"--output-dir"},
 }
 
+# the flags eval and detect both read, with the defaults their parsers give
+SNAPSHOT_SOURCE = {
+    "snapshot": None, "scenario_file": None, "truth_constant": None, "noise_sigma": None,
+    "attack_nodes": None, "attack_mode": None, "delta": None, "scenario_seed": None,
+}
+INPUTS = {"format": "text", "graph": "g.txt", **SNAPSHOT_SOURCE, "k": 1.0, "out": None}
+# per command: a minimal argv, then every dest its parser sets and the value it reads
+PARSED = {
+    "generate": ([], {"seed": None, "output_dir": ".", "n": 20, "p": 0.15,
+                      "epsilon": "uniform", "out": None}),
+    "eval": (["--graph", "g.txt"], {"seed": None, **INPUTS, "alpha": 0.1, "c0": 1.0,
+                                    "mode": "single-pass", "svg": None}),
+    "sweep": (["s.txt"], {"output_dir": ".", "spec": "s.txt"}),
+    "detect": (["--graph", "g.txt"], {"seed": None, **INPUTS, "weight_threshold": 0.5,
+                                      "evidence_threshold": 1.0, "fail_on_flag": False}),
+    "fixture": ([], {"output_dir": "."}),
+}
+POSITIONALS = {"spec"}
+
 
 class TestParsing:
     def test_no_subcommand_exits_2(self, capsys):
@@ -446,6 +487,20 @@ class TestParsing:
         assert main([command, "--help"]) == 0
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
         assert listed & set(SHARED_FLAG_VALUES) == SHARED_FLAGS_READ[command]
+
+    @pytest.mark.parametrize("command", sorted(PARSED))
+    def test_help_lists_exactly_the_commands_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        dests = set(PARSED[command][1]) - POSITIONALS
+        assert listed == {"--help"} | {"--" + dest.replace("_", "-") for dest in dests}
+
+    @pytest.mark.parametrize("command", sorted(PARSED))
+    def test_minimal_argv_parses_to_every_dest_and_default(self, command):
+        argv, expected = PARSED[command]
+        parsed = vars(build_parser().parse_args([command, *argv]))
+        assert parsed.pop("func").__name__ == f"cmd_{command}"
+        assert parsed == {"command": command, **expected}
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, read in SHARED_FLAGS_READ.items()

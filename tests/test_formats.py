@@ -30,6 +30,7 @@ from trustconnect.experiment import (
     RandomGraphSpec,
     SweepSpec,
     _check_grid_axis,
+    load_sweep_spec,
     _random_graph_spec,
     parse_sweep_spec,
     sweep_spec_to_text,
@@ -44,6 +45,7 @@ from trustconnect.graph import (
     _read_canonical as graph_read_canonical,
     _read_records as graph_read_records,
     from_text as graph_from_text,
+    load_graph,
     to_text as graph_to_text,
     validate,
 )
@@ -60,6 +62,8 @@ from trustconnect.snapshot import (
     attack_from_fields,
     check_noise_sigma,
     from_text as snapshot_from_text,
+    load_scenario,
+    load_snapshot,
     scenario_from_text,
     scenario_to_text,
     to_text as snapshot_to_text,
@@ -216,6 +220,25 @@ def test_malformed_lines_raise_only_parse_errors(header, usage, parse, data):
         assert str(exc).startswith("doc.txt")
     except GraphInvariantError:
         pass
+
+
+@pytest.mark.parametrize("line_no", [2, 3000])
+@pytest.mark.parametrize(
+    "header, load",
+    [(GRAPH_HEADER, load_graph), (SNAPSHOT_HEADER, load_snapshot),
+     (SCENARIO_HEADER, load_scenario), (SWEEP_HEADER, load_sweep_spec)],
+    ids=["graph", "snapshot", "scenario", "sweep"],
+)
+def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line(tmp_path, header, load, line_no):
+    # line 3000 starts 18 kB in: its number counts the lines of the whole file
+    path = tmp_path / "doc.txt"
+    path.write_bytes(f"{header}\n".encode() + b"# pad\n" * (line_no - 2) + b"# caf\xe9\n")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert (excinfo.value.path, excinfo.value.line_no) == (str(path), line_no)
+    assert str(excinfo.value) == (
+        f"{path}:{line_no}: invalid UTF-8 byte 0xe9: invalid continuation byte"
+    )
 
 
 def test_reader_checks_optional_field_counts():

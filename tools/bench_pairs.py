@@ -29,6 +29,8 @@ summaries, ``change_wins`` and ``pairs``:
   bound; else ``unresolved`` when the spread is wider than the bound and
   not every change run is better; else ``no worse``.
 
+``src_lines`` records each side's line total of ``src/trustconnect/*.py``.
+
 Standard library only. The output has the schema of ``BENCH_5.json``, plus
 those keys, except that each per-layer metric is a ``summary`` of the traced
 runs rather than one value, and ``attempted`` and ``failed`` are their sums.
@@ -64,6 +66,12 @@ def extract(rev: str, into: Path) -> Path:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
+
+
+def src_lines(checkout: Path) -> int:
+    """The line total of ``src/trustconnect/*.py`` in ``checkout``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "trustconnect").glob("*.py"))
 
 
 def bench(checkout: Path, workload: str, trace: int) -> dict:
@@ -162,6 +170,7 @@ def main(argv=None) -> int:
             "change": args.change,
             "parent_commit": commits["parent"],
             "change_commit": commits["change"],
+            "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
             "end_to_end": {
                 "command": command,
                 "method": f"{PAIRS} pairs per workload, alternating which side runs "
