@@ -68,20 +68,17 @@ def is_one_field(text: str) -> bool:
 def read_text(path) -> str:
     """The text of the UTF-8 file at ``path``.
 
-    A byte that is not UTF-8 raises ParseError at its line. Only then is
-    the file read again, as bytes, to find that line in the whole file.
+    A byte that is not UTF-8 raises ParseError at its line. The decode
+    error carries the bytes it decoded, the whole file, so the line is
+    found without reading the file again.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}: {exc.reason}"
+        data, start = exc.object, exc.start
+        line_no = len((data[:start].decode("utf-8") + "x").splitlines())
+        message = f"invalid UTF-8 byte 0x{data[start]:02x}: {exc.reason}"
         raise ParseError(message, str(path), line_no) from None
-    raise ParseError("not UTF-8 when first read", str(path))
 
 
 LIST, SINGLE, ID = "list", "single", "id"
