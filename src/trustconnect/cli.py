@@ -120,7 +120,16 @@ def _load_inputs(args):
     """The graph and snapshot that eval and detect read: (graph, snapshot)."""
     graph = load_graph(args.graph)
     if args.snapshot is None:
-        return graph, synthesize_snapshot(graph, _build_scenario(args, graph))
+        scenario = _build_scenario(args, graph)
+        try:
+            return graph, synthesize_snapshot(graph, scenario)
+        except ValueError as exc:
+            # an id the inline flags did not set came from the scenario file
+            flag = args.attack_nodes if str(exc).startswith("attack") else args.truth_constant
+            if args.scenario_file is None or flag is not None:
+                raise
+            raise ValueError(
+                f"{args.scenario_file} does not match {args.graph}: {exc}") from None
     if args.scenario_file is not None or _inline_scenario_flags(args):
         raise ValueError("--snapshot and scenario flags are mutually exclusive")
     try:

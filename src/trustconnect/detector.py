@@ -110,7 +110,7 @@ def detect(
         evidence = 0.0
         for e in range(start, stop):
             if weights[e] < det_params.weight_threshold:
-                contradicting.append(graph.edges[e][1])
+                contradicting.append(cg.ids[cg.dst[e]])
                 evidence += cg.epsilons[cg.dst[e]]
         entries.append(
             DetectionEntry(

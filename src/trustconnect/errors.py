@@ -66,14 +66,14 @@ def is_one_field(text: str) -> bool:
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``.
+    """The text of the UTF-8 file at ``path``, without a leading byte-order mark.
 
     A byte that is not UTF-8 raises ParseError at its line. The decode
-    error carries the bytes it decoded, the whole file, so the line is
-    found without reading the file again.
+    error carries the bytes it decoded, the whole file after any mark, so
+    the line is found without reading the file again.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         data, start = exc.object, exc.start
         line_no = len((data[:start].decode("utf-8") + "x").splitlines())

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
-from operator import eq, itemgetter, lt
+from itertools import chain, islice, pairwise, repeat, starmap
+from operator import add, eq, itemgetter, lt, sub
 from pathlib import Path
 
 from .errors import (
@@ -52,7 +53,8 @@ class DependencyGraph:
 
     Construction canonicalizes ordering (nodes by id, edges lexicographic)
     but does not reject invalid input; use :func:`validate` to check the
-    invariants.
+    invariants. A graph read in bulk holds no ``edges`` until they are
+    first read; they are then built from ``compiled`` and kept.
     """
 
     nodes: tuple[EcuNode, ...]
@@ -65,6 +67,15 @@ class DependencyGraph:
         object.__setattr__(
             self, "edges", tuple(sorted((int(i), int(j)) for i, j in self.edges))
         )
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: the edges of a bulk-read graph
+        if name != "edges" or "compiled" not in self.__dict__:
+            raise AttributeError(name)
+        cg = self.compiled
+        edges = tuple(zip(cg.sources_of(cg.ids), map(cg.ids.__getitem__, cg.dst)))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -92,6 +103,10 @@ class CompiledGraph:
     offsets: tuple[int, ...]
     dst: tuple[int, ...]
     baselines: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def sources_of(self, values: Iterable) -> Iterator:
+        """Per edge, in edge order, the entry of ``values`` (one per node) for its source."""
+        return chain.from_iterable(map(repeat, values, map(sub, self.offsets[1:], self.offsets)))
 
 
 def _compile(graph: DependencyGraph) -> CompiledGraph:
@@ -282,7 +297,8 @@ def from_text(text: str, path: str | None = None) -> DependencyGraph:
 def _read_canonical(text: str) -> DependencyGraph | None:
     """The valid graph of a document in ``to_text``'s layout, read in bulk and compiled; else None.
 
-    Canonical order is proved, not restored. Endpoints are looked up by id text as node positions.
+    Canonical order is proved, not restored. Endpoints are looked up by id text as node positions,
+    and the edges are kept only as ``compiled``'s rows until ``graph.edges`` is first read.
     """
     # a comment or a tab anywhere leaves the document to the reader at once
     if "#" in text or "\t" in text:
@@ -298,16 +314,16 @@ def _read_canonical(text: str) -> DependencyGraph | None:
         return None
     del lines  # freed before the graph is built: 44 -> 31 MB peak at 200k edges
     (ids, labels, epsilons), (sources, targets) = columns, edge_columns
-    # the edges reuse the nodes' ints; as ids ascend, positions order them alike
-    edges = tuple(zip(map(ids.__getitem__, sources), map(ids.__getitem__, targets)))
     nodes = tuple(map(EcuNode, ids, labels, epsilons))
+    # as ids ascend, source * n + target orders edges as their id pairs do
+    keys = map(add, map(len(ids).__mul__, sources), targets)
     if not (min(ids, default=0) >= 0 and all(map(lt, ids, islice(ids, 1, None)))
-            and all(map(lt, edges, islice(edges, 1, None)))
+            and all(starmap(lt, pairwise(keys)))
             and not any(map(eq, sources, targets)) and _nodes_valid(nodes)):
         return None
     graph = DependencyGraph.__new__(DependencyGraph)  # proved canonical: no __post_init__
     offsets = (*map(bisect_left, repeat(sources), range(len(ids))), len(sources))
-    graph.__dict__.update(nodes=nodes, edges=edges, compiled=CompiledGraph(
+    graph.__dict__.update(nodes=nodes, compiled=CompiledGraph(
         tuple(ids), tuple(epsilons), offsets, tuple(targets)))
     return graph
 

@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter, sub
+from operator import sub
 from pathlib import Path
 
 from .errors import (
@@ -56,10 +55,31 @@ ATTACK_MODES = ("self-injection", "inference-corruption", "both")
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Observed per-node values plus inferred per-edge values."""
+    """Observed per-node values plus inferred per-edge values.
+
+    A snapshot read in bulk or synthesized for a graph holds its inferred
+    values as a column in that graph's edge order, with the graph; the
+    ``inferred`` dict is built from the column when it is first read.
+    """
 
     observed: dict[int, float]
     inferred: dict[tuple[int, int], float]
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: the inferred dict of a column
+        if name != "inferred" or "_graph" not in self.__dict__:
+            raise AttributeError(name)
+        inferred = dict(zip(self._graph.edges, self._column))
+        object.__setattr__(self, "inferred", inferred)
+        return inferred
+
+
+def _column_snapshot(graph: DependencyGraph, observed: dict[int, float],
+                     column: list[float]) -> Snapshot:
+    """The snapshot of ``observed`` and the inferred ``column`` in ``graph.edges`` order."""
+    snapshot = Snapshot.__new__(Snapshot)
+    snapshot.__dict__.update(observed=observed, _graph=graph, _column=column)
+    return snapshot
 
 
 @dataclass(frozen=True)
@@ -184,13 +204,13 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
         observed[i] = value
 
     rng = random.Random(scenario.seed)
-    inferred: dict[tuple[int, int], float] = {}
+    column: list[float] = []
     for i, j in graph.edges:
         value = scenario.ground_truth[i] + rng.gauss(0.0, scenario.noise_sigma)
         if attack is not None and attack.corrupts_inferred and j in attack.compromised:
             value += attack.delta
-        inferred[(i, j)] = value
-    return Snapshot(observed=observed, inferred=inferred)
+        column.append(value)
+    return _column_snapshot(graph, observed, column)
 
 
 def deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:
@@ -200,13 +220,16 @@ def deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:
     edge whose value is missing or non-finite, or whose deviation
     overflows, so no NaN or infinity reaches trust or detection.
     """
-    observed, inferred, edges = snapshot.observed, snapshot.inferred, graph.edges
+    observed = snapshot.observed
     try:
-        if tuple(inferred) == edges:  # edge-ordered keys: only int keys are looked up
-            sources = map(observed.__getitem__, map(itemgetter(0), edges))
-            result = list(map(abs, map(sub, sources, inferred.values())))
+        if vars(snapshot).get("_graph") is graph:
+            # each row's source value, repeated by row length, minus the column
+            cg = graph.compiled
+            sources = cg.sources_of(map(observed.__getitem__, cg.ids))
+            result = list(map(abs, map(sub, sources, snapshot._column)))
         else:
-            result = [abs(observed[edge[0]] - inferred[edge]) for edge in edges]
+            inferred = snapshot.inferred
+            result = [abs(observed[edge[0]] - inferred[edge]) for edge in graph.edges]
     except KeyError:
         result = None
     # a NaN or infinite deviation makes the sum non-finite; a finite sum
@@ -286,7 +309,7 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     """The snapshot of the header, an ``obs`` line per node in id order and an
     ``inf`` line per edge in ``graph.edges`` order, all finite; else None.
 
-    Ids are compared as text, and ``inferred`` is keyed by the graph's tuples.
+    Ids are compared as text, and the inferred values stay the column they were read as.
     """
     compiled = graph.compiled
     ids = list(map(str, compiled.ids))
@@ -294,16 +317,15 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     if (lines[:1] != [SNAPSHOT_HEADER] or len(lines) != 1 + len(ids) + len(compiled.dst)
             or "#" in text or "\t" in text):
         return None
-    rows = map(sub, compiled.offsets[1:], compiled.offsets)
-    sources = list(chain.from_iterable(map(repeat, ids, rows)))
+    sources = list(compiled.sources_of(ids))
     targets = list(map(ids.__getitem__, compiled.dst))
     obs = read_columns(lines, 1, 1 + len(ids), ("obs", ids, float))
     inf = obs and read_columns(lines, 1 + len(ids), len(lines), ("inf", sources, targets, float))
     # a finite sum proves every value finite; any other is the reader's to name
     if not inf or not math.isfinite(sum(obs[0]) + sum(inf[0])):
         return None
-    del lines, sources, targets  # freed before the dicts are built
-    return Snapshot(dict(zip(compiled.ids, obs[0])), dict(zip(graph.edges, inf[0])))
+    del lines, sources, targets  # freed before the observed dict is built
+    return _column_snapshot(graph, dict(zip(compiled.ids, obs[0])), inf[0])
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:

@@ -204,6 +204,38 @@ class TestEval:
                 f"warning: inline scenario flags override {scenario}: {flag}\n"
             )
 
+    def test_scenario_file_that_does_not_match_the_graph_exits_2_naming_both(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        graph_path = str(fixture_dir / "reference_graph.txt")
+        reference = (fixture_dir / "reference_scenario.txt").read_text(encoding="utf-8")
+        cases = {
+            "unknown.txt": (reference + "truth 999 1.0\n", "scenario references unknown node ids [999]"),
+            "missing.txt": (reference.replace("truth 0 ", "# truth 0 "),
+                            "scenario is missing ground truth for nodes [0]"),
+            "attack.txt": (reference.replace(" 1,4,11", " 1,999"),
+                           "attack references unknown node ids [999]"),
+        }
+        for name, (text, message) in cases.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            for command in ("eval", "detect"):
+                assert main([command, "--graph", graph_path, "--scenario-file", str(path)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    f"trustconnect: error: {path} does not match {graph_path}: {message}\n"
+                )
+
+    def test_ids_from_inline_flags_keep_their_message(self, fixture_dir, capsys):
+        scenario = str(fixture_dir / "reference_scenario.txt")
+        for extra in ([], ["--scenario-file", scenario]):
+            rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                       "--attack-nodes", "999", *extra])
+            assert rc == 2
+            assert capsys.readouterr().err.endswith(
+                "trustconnect: error: attack references unknown node ids [999]\n")
+
     def test_attack_mode_without_attack_exits_2(self, fixture_dir, capsys):
         rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
                    "--attack-mode", "self-injection"])

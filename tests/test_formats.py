@@ -33,6 +33,8 @@ from trustconnect.experiment import (
     load_sweep_spec,
     _random_graph_spec,
     parse_sweep_spec,
+    reference_fixture,
+    reference_sweep_spec,
     sweep_spec_to_text,
 )
 from trustconnect.graph import (
@@ -61,11 +63,13 @@ from trustconnect.snapshot import (
     _read_aligned as snapshot_read_aligned,
     attack_from_fields,
     check_noise_sigma,
+    deviations,
     from_text as snapshot_from_text,
     load_scenario,
     load_snapshot,
     scenario_from_text,
     scenario_to_text,
+    synthesize_snapshot,
     to_text as snapshot_to_text,
     validate_snapshot,
 )
@@ -239,6 +243,35 @@ def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line(tmp_path, header, 
     assert str(excinfo.value) == (
         f"{path}:{line_no}: invalid UTF-8 byte 0xe9: invalid continuation byte"
     )
+
+
+def _reference_documents():
+    graph, scenario = reference_fixture()
+    return {
+        "graph": graph_to_text(graph),
+        "snapshot": snapshot_to_text(synthesize_snapshot(graph, scenario)),
+        "scenario": scenario_to_text(scenario),
+        "sweep": sweep_spec_to_text(reference_sweep_spec()),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, load",
+    [("graph", load_graph), ("snapshot", load_snapshot),
+     ("scenario", load_scenario), ("sweep", load_sweep_spec)],
+    ids=["graph", "snapshot", "scenario", "sweep"],
+)
+def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path, name, load):
+    text = _reference_documents()[name]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load(marked) == load(plain)
+    # a bad byte after the mark is still named at its own line
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"# caf\xe9\n")
+    with pytest.raises(ParseError) as excinfo:
+        load(marked)
+    assert (excinfo.value.path, excinfo.value.line_no) == (str(marked), len(text.splitlines()) + 1)
 
 
 def test_reader_checks_optional_field_counts():
@@ -527,6 +560,13 @@ def _mutated(name, text, draw):
     return text.replace("\n", "\r\n") if name == "crlf" else text
 
 
+def _deviation_bits(graph, snapshot):
+    try:
+        return [value.hex() for value in deviations(graph, snapshot)]
+    except SnapshotMismatchError as exc:
+        return str(exc)
+
+
 def _outcome(parse, *args):
     try:
         return parse(*args)
@@ -560,9 +600,14 @@ def test_bulk_graph_read_is_the_reader_or_falls_back(mutation, data):
     edges=((3, 42), (10, 3), (10, 99), (42, 3)),
 ))
 def test_bulk_read_graph_arrives_compiled_as_compile_builds_it(graph):
-    bulk = graph_read_canonical(graph_to_text(graph))
-    assert bulk == graph
+    text = graph_to_text(graph)
+    bulk = graph_read_canonical(text)
     assert "compiled" in vars(bulk)  # placed by the read, not built on first use
+    assert "edges" not in vars(bulk)  # built from compiled on first read
+    assert bulk.edges == graph_read_records(text, "doc.txt").edges
+    assert type(bulk.edges) is tuple
+    assert all(type(edge) is tuple and list(map(type, edge)) == [int, int] for edge in bulk.edges)
+    assert bulk == graph
     expected = _compile(bulk)
     for name in ("ids", "epsilons", "offsets", "dst"):
         assert type(getattr(bulk.compiled, name)) is tuple
@@ -583,6 +628,11 @@ def test_aligned_snapshot_read_is_the_reader_or_falls_back(mutation, data):
     text = _mutated(mutation, snapshot_to_text(snapshot), data.draw)
     reader = _outcome(snapshot_from_text, text, "doc.txt")
     bulk = snapshot_read_aligned(text, graph)
+    if bulk is not None:
+        # the column path gives the lookup's deviations bit for bit
+        assert _deviation_bits(graph, bulk) == _deviation_bits(graph, reader)
+        assert "inferred" not in vars(bulk)  # built from the column on first read
+        assert type(bulk.inferred) is dict and bulk.inferred == reader.inferred
     assert bulk is None or bulk == reader
     assert mutation != "canonical" or bulk == snapshot
     public = _outcome(snapshot_from_text, text, "doc.txt", graph)

@@ -4,8 +4,10 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trustconnect.detector import detect
 from trustconnect.errors import ParseError, SnapshotMismatchError
-from trustconnect.graph import DependencyGraph, EcuNode, generate_random
+from trustconnect.experiment import reference_fixture
+from trustconnect.graph import DependencyGraph, EcuNode, generate_random, load_graph, save_graph
 from trustconnect.snapshot import (
     load_scenario,
     save_scenario,
@@ -24,6 +26,7 @@ from trustconnect.snapshot import (
     to_text,
     validate_snapshot,
 )
+from trustconnect.trust import TrustParams, full_report
 
 
 @pytest.fixture
@@ -195,6 +198,45 @@ def test_finite_deviations_whose_sum_overflows_pass():
     assert deviations(g, snap) == [1e308, 1e308]
 
 
+def _bulk_pair(tmp_path, graph, snapshot):
+    """``graph`` and ``snapshot`` saved canonically and loaded back in bulk."""
+    save_graph(graph, tmp_path / "graph.txt")
+    save_snapshot(snapshot, tmp_path / "snapshot.txt")
+    loaded = load_graph(tmp_path / "graph.txt")
+    return loaded, load_snapshot(tmp_path / "snapshot.txt", loaded)
+
+
+def test_overflowing_deviation_is_rejected_on_the_column_path(tmp_path):
+    g, snap = _bulk_pair(tmp_path, *two_node_snapshot(1e308, -1e308))
+    assert "inferred" not in vars(snap)  # read in bulk, as a column
+    with pytest.raises(SnapshotMismatchError, match=r"deviation on edge \(0, 1\) overflows"):
+        deviations(g, snap)
+
+
+def test_eval_and_detect_of_bulk_files_keep_edges_and_inferred_as_columns(tmp_path):
+    graph, scenario = reference_fixture()
+    synthesized = synthesize_snapshot(graph, scenario)
+    g, snap = _bulk_pair(tmp_path, graph, synthesized)
+    params, detect_params = TrustParams(k=1.0, alpha=0.1), TrustParams(k=1.0, alpha=0.0)
+    report = full_report(g, snap, params)
+    detection = detect(g, snap, detect_params)
+    report.to_json(), detection.to_json()
+    assert "edges" not in vars(g)
+    assert "inferred" not in vars(snap)
+    as_dicts = Snapshot(observed=synthesized.observed, inferred=synthesized.inferred)
+    assert report == full_report(graph, as_dicts, params)
+    assert detection == detect(graph, as_dicts, detect_params)
+
+
+def test_synthesized_column_gives_the_lookup_deviations_bit_for_bit(graph):
+    attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
+    snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
+    column = [value.hex() for value in deviations(graph, snap)]
+    assert "inferred" not in vars(snap)
+    as_dict = Snapshot(observed=snap.observed, inferred=snap.inferred)
+    assert column == [value.hex() for value in deviations(graph, as_dict)]
+
+
 def test_edge_deviations_follow_edge_order(graph):
     attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
     snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
@@ -204,7 +246,7 @@ def test_edge_deviations_follow_edge_order(graph):
 
 
 def _comprehension_deviations(graph, snapshot):
-    """``deviations`` by its per-edge comprehension only: the fast path's reference."""
+    """``deviations`` by its per-edge comprehension only: the lookup path's reference."""
     observed, inferred = snapshot.observed, snapshot.inferred
     try:
         result = [abs(observed[edge[0]] - inferred[edge]) for edge in graph.edges]
