@@ -165,6 +165,7 @@ def cmd_eval(args) -> int:
     graph, snapshot = _load_inputs(args)
     params = TrustParams(k=args.k, alpha=args.alpha, c0=args.c0, mode=args.mode)
     report = full_report(graph, snapshot, params)
+    del graph, snapshot  # freed before the output is built
     svg = None if args.svg is None else report.to_svg()  # a refused chart writes nothing
     _emit(report, args)
     if svg is not None:
@@ -189,6 +190,7 @@ def cmd_detect(args) -> int:
         evidence_threshold=args.evidence_threshold,
     )
     report = detect(graph, snapshot, trust_params, det_params)
+    del graph, snapshot  # freed before the output is built
     _emit(report, args)
     if args.fail_on_flag and report.flagged_ids():
         return 3

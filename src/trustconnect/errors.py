@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the readers of its text formats."""
 
 import math
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import islice, repeat
 from pathlib import Path
 
 
@@ -140,22 +141,33 @@ def read_records(text: str, path: str | None, header: str, records: dict) -> dic
     return found
 
 
-COLUMN_CHUNK = 16384
+LINE_CHUNK, COLUMN_CHUNK = 1 << 16, 1024
 
 
-def read_columns(lines: list[str], start: int, stop: int, spec) -> list[list] | None:
-    """The fields of ``lines[start:stop]`` by column, or None if a line is not canonical.
+def split_lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, a chunk of about ``LINE_CHUNK`` characters at a time.
+
+    A chunk ends just after a ``\\n``, which ends any line break it is part of.
+    """
+    begin = 0
+    while begin < len(text):
+        cut = text.find("\n", begin + LINE_CHUNK) + 1 or len(text)
+        yield from text[begin:cut].splitlines()
+        begin = cut
+
+
+def read_columns(lines: Iterator[str], spec) -> list[list] | None:
+    """The fields of the lines ``lines`` yields by column, or None if a line is not canonical.
 
     A canonical line holds ``len(spec)`` fields joined by single spaces. Per
-    field, ``spec`` gives the string every line holds there, the list of
-    strings the lines hold there, or a function to map over the column; the
-    mapped columns are returned, and a function raising ValueError or
-    LookupError also gives None. Lines are split ``COLUMN_CHUNK`` at a time.
+    field, ``spec`` gives an iterator over the strings the lines hold there,
+    or a function to map over the column; the mapped columns are returned,
+    and a function raising ValueError or LookupError also gives None. Lines
+    are split ``COLUMN_CHUNK`` at a time.
     """
     width = len(spec)
     columns = {k: [] for k, kind in enumerate(spec) if callable(kind)}
-    for begin in range(start, stop, COLUMN_CHUNK):
-        chunk = lines[begin:min(begin + COLUMN_CHUNK, stop)]
+    while chunk := list(islice(lines, COLUMN_CHUNK)):
         # per line: a total field count accepts "a b" + "c a b c"
         if set(map(str.count, chunk, repeat(" "))) != {width - 1}:
             return None
@@ -165,8 +177,7 @@ def read_columns(lines: list[str], start: int, stop: int, spec) -> list[list] | 
             try:
                 if k in columns:
                     columns[k].extend(map(kind, column))
-                elif (column.count(kind) != len(column) if isinstance(kind, str)
-                      else column != kind[begin - start:begin - start + len(column)]):
+                elif column != list(islice(kind, len(column))):
                     return None
             except (ValueError, LookupError):
                 return None

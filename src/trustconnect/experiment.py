@@ -65,7 +65,7 @@ from .snapshot import (
     scenario_from_text,
     synthesize_snapshot,
 )
-from .trust import TrustParams, TrustReport, check_mode, report_from_deviations
+from .trust import TrustParams, TrustReport, check_mode, edge_weights, report_from_weights
 
 SWEEP_HEADER = "trustconnect-sweep v1"
 MANIFEST_HEADER = "trustconnect-sweep-manifest v1"
@@ -188,9 +188,10 @@ def run_sweep_on(
     devs = deviations(graph, snapshot)
     reports = {}
     for k in k_values:
+        weights = edge_weights(devs, k)
         for alpha in alpha_values:
             params = TrustParams(k=k, alpha=alpha, mode=mode)
-            reports[(k, alpha)] = report_from_deviations(graph, devs, params)
+            reports[(k, alpha)] = report_from_weights(graph, weights, params)
     return SweepResult(
         graph=graph,
         snapshot=snapshot,

@@ -34,12 +34,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 from operator import sub
 from pathlib import Path
 
 from .errors import (
     ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records, read_text,
-    require_finite, require_int,
+    require_finite, require_int, split_lines,
 )
 from .graph import DependencyGraph
 
@@ -182,6 +183,7 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
     delta when j is compromised in an inference-corruption mode. Noise
     draws come from a fresh random.Random(seed) stream consumed in
     canonical edge order, so identical inputs give identical snapshots.
+    A graph that ``graph.compiled`` rejects raises GraphInvariantError.
     """
     node_ids = set(graph.node_ids)
     unknown = sorted(set(scenario.ground_truth) - node_ids)
@@ -205,7 +207,8 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
 
     rng = random.Random(scenario.seed)
     column: list[float] = []
-    for i, j in graph.edges:
+    cg = graph.compiled
+    for i, j in zip(cg.sources_of(cg.ids), map(cg.ids.__getitem__, cg.dst)):
         value = scenario.ground_truth[i] + rng.gauss(0.0, scenario.noise_sigma)
         if attack is not None and attack.corrupts_inferred and j in attack.compromised:
             value += attack.delta
@@ -312,19 +315,19 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     Ids are compared as text, and the inferred values stay the column they were read as.
     """
     compiled = graph.compiled
+    if "#" in text or "\t" in text:
+        return None
     ids = list(map(str, compiled.ids))
-    lines = text.splitlines()
-    if (lines[:1] != [SNAPSHOT_HEADER] or len(lines) != 1 + len(ids) + len(compiled.dst)
-            or "#" in text or "\t" in text):
-        return None
-    sources = list(compiled.sources_of(ids))
-    targets = list(map(ids.__getitem__, compiled.dst))
-    obs = read_columns(lines, 1, 1 + len(ids), ("obs", ids, float))
-    inf = obs and read_columns(lines, 1 + len(ids), len(lines), ("inf", sources, targets, float))
+    lines = split_lines(text)
+    obs = next(lines, None) == SNAPSHOT_HEADER and read_columns(
+        islice(lines, len(ids)), (repeat("obs"), iter(ids), float))
+    # a line past the last edge has no id text left to match; a short file, too few values
+    inf = obs and read_columns(lines, (
+        repeat("inf"), compiled.sources_of(ids), map(ids.__getitem__, compiled.dst), float))
     # a finite sum proves every value finite; any other is the reader's to name
-    if not inf or not math.isfinite(sum(obs[0]) + sum(inf[0])):
+    if (not inf or len(obs[0]) + len(inf[0]) != len(ids) + len(compiled.dst)
+            or not math.isfinite(sum(obs[0]) + sum(inf[0]))):
         return None
-    del lines, sources, targets  # freed before the observed dict is built
     return _column_snapshot(graph, dict(zip(compiled.ids, obs[0])), inf[0])
 
 

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,22 @@ def test_eval_and_detect_of_bulk_files_keep_edges_and_inferred_as_columns(tmp_pa
     as_dicts = Snapshot(observed=synthesized.observed, inferred=synthesized.inferred)
     assert report == full_report(graph, as_dicts, params)
     assert detection == detect(graph, as_dicts, detect_params)
+
+
+def test_scenario_eval_and_detect_of_a_bulk_read_graph_build_no_edges():
+    graph, scenario = reference_fixture()  # the graph is read in bulk
+    snap = synthesize_snapshot(graph, scenario)
+    full_report(graph, snap, TrustParams(k=1.0, alpha=0.1)).to_json()
+    detect(graph, snap, TrustParams(k=1.0, alpha=0.0)).to_json()
+    assert "edges" not in vars(graph)
+    # the noise stream is still drawn in edge order, as documented
+    rng, attack = random.Random(scenario.seed), scenario.attack
+    expected = [
+        scenario.ground_truth[i] + rng.gauss(0.0, scenario.noise_sigma)
+        + (attack.delta if attack.corrupts_inferred and j in attack.compromised else 0.0)
+        for i, j in graph.edges
+    ]
+    assert [value.hex() for value in snap._column] == [value.hex() for value in expected]
 
 
 def test_synthesized_column_gives_the_lookup_deviations_bit_for_bit(graph):

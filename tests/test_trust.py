@@ -270,6 +270,10 @@ def dict_reference(graph, snapshot, params):
     return trust, btv, trust_conv and base_conv
 
 
+def bits(scores: dict[int, float]) -> dict[int, str]:
+    return {i: score.hex() for i, score in scores.items()}
+
+
 class TestCompiledCoreMatchesDictReference:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -295,13 +299,14 @@ class TestCompiledCoreMatchesDictReference:
             k=k, alpha=alpha, c0=c0, mode=mode, max_iterations=max_iterations
         )
         trust, btv, converged = dict_reference(graph, snapshot, params)
+        trust, btv = bits(trust), bits(btv)  # == cannot tell -0.0 from 0.0; repr can
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergenceWarning)
             report = full_report(graph, snapshot, params)
-            assert trust_scores(graph, snapshot, params) == trust
-            assert baseline_trust(graph, params) == btv
-        assert {e.id: e.trust for e in report.entries} == trust
-        assert {e.id: e.btv for e in report.entries} == btv
+            assert bits(trust_scores(graph, snapshot, params)) == trust
+            assert bits(baseline_trust(graph, params)) == btv
+        assert bits({e.id: e.trust for e in report.entries}) == trust
+        assert bits({e.id: e.btv for e in report.entries}) == btv
         assert report.converged is converged
 
 

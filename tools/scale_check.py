@@ -9,6 +9,11 @@ file sits in, and prints the wall seconds and the peak RSS that ``os.wait4``
 reports for that process, then the sha256 of the report, so that two
 checkouts can be compared by running it in each. It takes no options.
 
+The inputs are built by a child process (this file, given the directory),
+so the process that spawns the eval never holds them. A process starts with
+the high-water RSS of the one that spawned it, so ``ru_maxrss`` would
+otherwise report the builder's peak whenever it is above the eval's own.
+
 It only reads ``perfbench/inputs.py``: its inputs and report live in the
 temporary directory, and no bytecode is written beside that module.
 """
@@ -38,10 +43,13 @@ def write_inputs(work: Path) -> None:
     (work / "snapshot.txt").write_text(inputs.snapshot_text(topology, reading), encoding="utf-8")
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:  # the child that builds the inputs
+        write_inputs(Path(argv[0]))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        write_inputs(work)
+        subprocess.run([sys.executable, __file__, tmp], check=True)
         argv = [sys.executable, "-m", "trustconnect.cli", "eval", "--graph", "graph.txt",
                 "--snapshot", "snapshot.txt", "--format", "json", "--out", "report.json"]
         began = time.perf_counter()
@@ -60,4 +68,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
