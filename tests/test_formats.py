@@ -499,7 +499,8 @@ GRAPH_ONLY = ("self-loop", "epsilon out of range", "negative id")
 MUTATIONS = PAIRWISE + (
     "canonical", "tab", "double space", "trailing space", "crlf", "other line break",
     "blank line", "comment line", "trailing comment", "leading zero", "duplicate record",
-    "missing record", "missing last record", "unknown id", "extra field", "non-finite value", "nodes out of order",
+    "missing record", "missing last record", "unknown id", "extra field", "non-finite value",
+    "nodes out of order",
 ) + GRAPH_ONLY
 # every line break str.splitlines knows but "\n" and "\r\n"
 OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"

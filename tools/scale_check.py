@@ -43,9 +43,9 @@ def write_inputs(work: Path) -> None:
     (work / "snapshot.txt").write_text(inputs.snapshot_text(topology, reading), encoding="utf-8")
 
 
-def main(argv: list[str]) -> int:
-    if argv:  # the child that builds the inputs
-        write_inputs(Path(argv[0]))
+def main(args: list[str]) -> int:
+    if args:  # the child that builds the inputs
+        write_inputs(Path(args[0]))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
