@@ -9,6 +9,8 @@ and emits CSV/SVG figure data; the cli module wires everything into the
 ``trustconnect`` command.
 """
 
+from types import ModuleType as _ModuleType
+
 from .detector import DetectionEntry, DetectionReport, DetectorParams, detect
 from .errors import (
     GraphInvariantError,
@@ -68,55 +70,6 @@ from .trust import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackSpec",
-    "CellCheck",
-    "DependencyGraph",
-    "DetectionEntry",
-    "DetectionReport",
-    "DetectorParams",
-    "EcuNode",
-    "EpsilonDistribution",
-    "GraphInvariantError",
-    "NonConvergenceWarning",
-    "ParseError",
-    "RandomGraphSpec",
-    "ScenarioSpec",
-    "Snapshot",
-    "SnapshotMismatchError",
-    "SweepResult",
-    "SweepSpec",
-    "TrustConnectError",
-    "TrustEntry",
-    "TrustParams",
-    "TrustReport",
-    "adjusted_trust",
-    "baseline_trust",
-    "check_gap_ordering",
-    "constant_ground_truth",
-    "detect",
-    "deviations",
-    "emit_figure_data",
-    "full_report",
-    "generate_random",
-    "grouped_bar_svg",
-    "load_graph",
-    "load_scenario",
-    "load_snapshot",
-    "load_sweep_spec",
-    "parse_epsilon_dist",
-    "reference_fixture",
-    "reference_sweep_spec",
-    "relative_gap",
-    "run_sweep",
-    "run_sweep_on",
-    "save_graph",
-    "save_scenario",
-    "save_snapshot",
-    "save_sweep_spec",
-    "synthesize_snapshot",
-    "trust_scores",
-    "validate",
-    "validate_snapshot",
-    "__version__",
-]
+# every name imported above, less the submodules those imports bind
+__all__ = [name for name, value in list(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))] + ["__version__"]

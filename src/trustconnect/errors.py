@@ -30,9 +30,10 @@ class ParseError(TrustConnectError):
 class GraphInvariantError(TrustConnectError):
     """A graph violates its structural invariants."""
 
-    def __init__(self, violations: list[str]):
+    def __init__(self, violations: list[str], path: str | None = None):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        message = "; ".join(self.violations)
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class SnapshotMismatchError(TrustConnectError):

@@ -135,27 +135,6 @@ class SweepSpec:
         check_mode(self.mode)
 
 
-def resolve_graph(spec: SweepSpec) -> DependencyGraph:
-    if spec.graph_file is not None:
-        return load_graph(spec.graph_file)
-    g = spec.graph_random
-    return generate_random(
-        n=g.n, edge_probability=g.edge_probability,
-        epsilon_distribution=g.epsilon, seed=g.seed,
-    )
-
-
-def resolve_scenario(spec: SweepSpec, graph: DependencyGraph) -> ScenarioSpec:
-    truth = constant_ground_truth(graph, spec.truth_constant)
-    truth.update(spec.truth_overrides)
-    return ScenarioSpec(
-        ground_truth=truth,
-        noise_sigma=spec.noise_sigma,
-        attack=spec.attack,
-        seed=spec.scenario_seed,
-    )
-
-
 def graph_digest(graph: DependencyGraph) -> str:
     return hashlib.sha256(graph_to_text(graph).encode("utf-8")).hexdigest()
 
@@ -204,8 +183,13 @@ def run_sweep_on(
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    graph = resolve_graph(spec)
-    scenario = resolve_scenario(spec, graph)
+    g = spec.graph_random
+    graph = load_graph(spec.graph_file) if g is None else generate_random(
+        n=g.n, edge_probability=g.edge_probability, epsilon_distribution=g.epsilon, seed=g.seed)
+    truth = constant_ground_truth(graph, spec.truth_constant)
+    truth.update(spec.truth_overrides)
+    scenario = ScenarioSpec(ground_truth=truth, noise_sigma=spec.noise_sigma,
+                            attack=spec.attack, seed=spec.scenario_seed)
     return run_sweep_on(
         graph, scenario,
         k_values=spec.k_values, alpha_values=spec.alpha_values, mode=spec.mode,
@@ -405,10 +389,6 @@ def check_gap_ordering(
 # figure data emission
 
 
-def _cell_stem(k: float, alpha: float) -> str:
-    return f"sweep_k{k:g}_a{alpha:g}"
-
-
 def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
     """Write per-cell CSV + grouped-bar SVG plus a manifest; returns paths.
 
@@ -417,7 +397,7 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
     """
     cells = {}
     for k, alpha in result.reports:
-        stem = _cell_stem(k, alpha)
+        stem = f"sweep_k{k:g}_a{alpha:g}"
         other = cells.setdefault(stem, (k, alpha))
         if other != (k, alpha):
             raise ValueError(

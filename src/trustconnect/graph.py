@@ -96,7 +96,8 @@ class CompiledGraph:
     ``epsilons[k]``. Its out-edges are positions ``offsets[k]:offsets[k + 1]``
     of ``graph.edges``, and ``dst[e]`` is the node index of edge e's target.
     ``baselines`` is the trust module's memo of snapshot-independent
-    baseline scores for this topology, keyed by the parameters they use.
+    baseline scores for this topology, keyed by the parameters they use, and
+    ``kernels`` its memo of the generated row kernels for fixed-point trust.
     """
 
     ids: tuple[int, ...]
@@ -104,6 +105,7 @@ class CompiledGraph:
     offsets: tuple[int, ...]
     dst: tuple[int, ...]
     baselines: dict = field(default_factory=dict, compare=False, repr=False)
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
     def sources_of(self, values: Iterable) -> Iterator:
         """Per edge, in edge order, the entry of ``values`` (one per node) for its source."""
@@ -333,7 +335,7 @@ def _read_records(text: str, path: str | None) -> DependencyGraph:
     graph = DependencyGraph(nodes=tuple(found["node"]), edges=tuple(found["edge"]))
     violations = validate(graph)
     if violations:
-        raise GraphInvariantError(violations)
+        raise GraphInvariantError(violations, path)
     return graph
 
 

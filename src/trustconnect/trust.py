@@ -99,42 +99,95 @@ def edge_weights(devs: Iterable[float], k: float) -> list[float]:
     return [exp(-k * d) for d in devs]
 
 
-def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams):
-    """Scores by node index for edge-aligned weights, and a converged flag.
+# the generated row kernels' bounds; README, "How evaluation runs", has their measurements
+KERNEL_EDGE_CAP, KERNEL_ROWS, KERNEL_TERMS = 50_000, 16, 128
+
+
+def _kernel(cg: CompiledGraph, rows: range):
+    """A function of (products, weights) returning the totals of ``rows``.
+
+    Each is ``0.0 + (p[j0] + w[e0]) + (p[j1] + w[e1]) + ...``, the loop's own sum, in
+    statements of at most KERNEL_TERMS terms, which keeps the compiler's recursion shallow.
+    """
+    lines, totals = ["def kernel(p, w):"], []
+    for row in rows:
+        edges = range(cg.offsets[row], cg.offsets[row + 1])
+        terms, total = [f"(p[{cg.dst[e]}] + w[{e}])" for e in edges], "0.0"
+        while len(terms) > KERNEL_TERMS:
+            lines.append(f" t{row} = {' + '.join([total, *terms[:KERNEL_TERMS]])}")
+            total, terms = f"t{row}", terms[KERNEL_TERMS:]
+        totals.append(" + ".join([total, *terms]))
+    source = "\n".join([*lines, f" return [{', '.join(totals)}]"])
+    exec(compile(source, "<row kernel>", "exec"), namespace := {})
+    return namespace["kernel"]
+
+
+def _row_kernels(cg: CompiledGraph, build: bool):
+    """The row kernels memoized on ``cg``, or None while it has none.
+
+    The second trust evaluation (``build``) on a graph of at most KERNEL_EDGE_CAP
+    edges builds them, so a one-shot report pays no build. Each kernel holds
+    at most KERNEL_ROWS rows of KERNEL_TERMS terms in all, unless one row alone is
+    longer: small compile units keep the compiler's peak memory small.
+    """
+    memo, offsets, n = cg.kernels, cg.offsets, len(cg.ids)
+    if build and len(cg.dst) <= KERNEL_EDGE_CAP:
+        memo["evaluations"] = memo.get("evaluations", 0) + 1
+        if memo["evaluations"] == 2:
+            kernels, start = [], 0
+            for stop in range(1, n + 1):  # rows start:stop, unless row stop would overfill
+                if (stop == n or stop - start == KERNEL_ROWS
+                        or offsets[stop + 1] - offsets[start] > KERNEL_TERMS):
+                    kernels.append(_kernel(cg, range(start, stop)))
+                    start = stop
+            memo["rows"] = kernels
+    return memo.get("rows")
+
+
+def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams,
+               build: bool = True):
+    """Scores by node index for edge-aligned weights, the iteration count and the residual.
 
     Both modes sum each row left to right, bit for bit the documented recurrence.
-    Single-pass updates the score list in place (a neighbor not yet evaluated
-    still holds c0) and reads each row straight off one iterator over the edges.
-    Fixed-point builds each iterate from the previous one and its one product
-    epsilon[j] * alpha * C(j) per node, over rows of (j, weight) pairs built once.
+    Single-pass updates the score list in place (a neighbor not yet evaluated still holds
+    c0) off one iterator over the edges: one iteration, residual 0.0. Fixed-point sums
+    ``products[j] + weight``, one product epsilon[j] * alpha * C(j) per node, by the row
+    kernels (``build`` as in ``_row_kernels``) or the loop, until the residual, the
+    max-norm change of the last iterate, is below the tolerance.
     """
     offsets = cg.offsets
     factors = [epsilon * params.alpha for epsilon in cg.epsilons]
-    edges = zip(cg.dst, weights)
     scores = [params.c0] * len(cg.ids)
+    iterations, change = 1, 0.0
     if params.mode == "single-pass":
+        edges = zip(cg.dst, weights)
         for i, count in enumerate(map(operator.sub, offsets[1:], offsets)):
             total = 0.0
             for j, weight in islice(edges, count):
                 total += factors[j] * scores[j] + weight
             scores[i] = total
-        converged = True
     else:
-        terms = list(edges)
-        rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
-        converged = not rows
-        for _ in range(params.max_iterations):
+        kernels = _row_kernels(cg, build)
+        if kernels is None:
+            terms = list(zip(cg.dst, weights))
+            rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
+        else:
+            weights = list(weights)
+        for iterations in range(1, params.max_iterations + 1):
             products = list(map(operator.mul, factors, scores))
             nxt = []
-            for row in rows:
-                total = 0.0
-                for j, weight in row:
-                    total += products[j] + weight
-                nxt.append(total)
+            if kernels is None:
+                for row in rows:
+                    total = 0.0
+                    for j, weight in row:
+                        total += products[j] + weight
+                    nxt.append(total)
+            else:
+                for kernel in kernels:
+                    nxt += kernel(products, weights)
             change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
             scores = nxt
             if change < params.tolerance:
-                converged = True
                 break
     # finite inputs can still overflow; a finite sum proves every score finite
     if not math.isfinite(sum(scores)):
@@ -144,29 +197,30 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
                     f"trust score of node {node_id} is {score!r}, not finite "
                     f"(alpha={params.alpha!r}, c0={params.c0!r}, mode={params.mode})"
                 )
-    return scores, converged
+    return scores, iterations, change
 
 
 def _baseline(cg: CompiledGraph, params: TrustParams):
-    """Memoized baseline scores by node index, and their converged flag.
+    """Memoized baseline scores by node index, iteration count and residual.
 
-    Every baseline weight is exp(-k * 0.0) == 1.0 exactly, so k is not
-    part of the key.
+    Every baseline weight is exp(-k * 0.0) == 1.0 exactly, so k is not part of
+    the key. It builds no row kernels, but runs on them once they are built.
     """
     key = (params.alpha, params.c0, params.mode, params.max_iterations, params.tolerance)
     memo = cg.baselines.get(key)
     if memo is None:
-        scores, converged = _propagate(cg, repeat(1.0), params)
-        memo = cg.baselines[key] = (tuple(scores), converged)
+        scores, iterations, residual = _propagate(cg, repeat(1.0, len(cg.dst)), params, False)
+        memo = cg.baselines[key] = (tuple(scores), iterations, residual)
     return memo
 
 
-def _warn_unconverged(params: TrustParams, what: str) -> None:
-    warnings.warn(
-        f"fixed-point {what} did not converge within "
-        f"{params.max_iterations} iterations; returning the last iterate",
-        NonConvergenceWarning,
-    )
+def _warn_unconverged(params: TrustParams, what: str, residual: float) -> None:
+    if not residual < params.tolerance:
+        warnings.warn(
+            f"fixed-point {what} did not converge within "
+            f"{params.max_iterations} iterations; returning the last iterate",
+            NonConvergenceWarning,
+        )
 
 
 def trust_scores(
@@ -175,18 +229,16 @@ def trust_scores(
     """Per-node trust score for one snapshot; warns on non-convergence."""
     cg = graph.compiled
     weights = edge_weights(deviations(graph, snapshot), params.k)
-    scores, converged = _propagate(cg, weights, params)
-    if not converged:
-        _warn_unconverged(params, "evaluation")
+    scores, _, residual = _propagate(cg, weights, params)
+    _warn_unconverged(params, "evaluation", residual)
     return dict(zip(cg.ids, scores))
 
 
 def baseline_trust(graph: DependencyGraph, params: TrustParams) -> dict[int, float]:
     """Trust scores under zero deviation everywhere (every weight is 1)."""
     cg = graph.compiled
-    scores, converged = _baseline(cg, params)
-    if not converged:
-        _warn_unconverged(params, "baseline")
+    scores, _, residual = _baseline(cg, params)
+    _warn_unconverged(params, "baseline", residual)
     return dict(zip(cg.ids, scores))
 
 
@@ -275,6 +327,9 @@ class TrustReport:
     params: TrustParams
     converged: bool
     provenance: tuple[tuple[str, str], ...] = field(default=())
+    # the larger of trust's and baseline's (see _propagate); no serializer lists them
+    iterations: int = 1
+    residual: float = 0.0
 
     def to_text(self) -> str:
         lines = [REPORT_HEADER]
@@ -355,16 +410,17 @@ def report_from_weights(
     caller evaluating one snapshot under many alphas computes it once.
     """
     cg = graph.compiled
-    trust, trust_conv = _propagate(cg, weights, params)
-    btv, base_conv = _baseline(cg, params)
-    converged = trust_conv and base_conv
-    if not converged:
-        _warn_unconverged(params, "evaluation")
+    trust, iterations, residual = _propagate(cg, weights, params)
+    btv, base_iterations, base_residual = _baseline(cg, params)
+    iterations, residual = max(iterations, base_iterations), max(residual, base_residual)
+    _warn_unconverged(params, "evaluation", residual)
     entries = tuple(map(TrustEntry, cg.ids, map(operator.attrgetter("label"), graph.nodes),
                         cg.epsilons, btv, trust, map(adjusted_trust, btv, trust, cg.epsilons)))
     return TrustReport(
         entries=entries,
         network_trust=_network_trust(entries),
         params=params,
-        converged=converged,
+        converged=residual < params.tolerance,
+        iterations=iterations,
+        residual=residual,
     )

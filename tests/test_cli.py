@@ -624,3 +624,23 @@ class TestCyclicCollector:
         ten_times = self._commands(tmp_path / "larger", larger, larger_scenario)
         self._leftovers(reference, capsys)  # warm-up: first-use caches
         assert self._leftovers(ten_times, capsys) == self._leftovers(reference, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "detect", "sweep"])
+@pytest.mark.parametrize("line, message", [
+    ("edge 19 16", "duplicate edge (19, 16)"),
+    ("edge 19 20", "edge (19, 20): unknown node 20"),
+    ("node 19 E19b 0.5", "duplicate node id 19"),
+])
+def test_graph_invariant_error_names_the_graph_file(fixture_dir, tmp_path, capsys,
+                                                    command, line, message):
+    path = fixture_dir / "reference_graph.txt"
+    path.write_text(path.read_text() + line + "\n")  # line 101
+    argv = {"eval": ["eval", "--graph", str(path)],
+            "detect": ["detect", "--graph", str(path)],
+            "sweep": ["sweep", str(fixture_dir / "reference_sweep.txt"),
+                      "--output-dir", str(tmp_path / "out")]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"trustconnect: error: {path}: {message}\n"

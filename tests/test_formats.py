@@ -367,7 +367,7 @@ def reference_graph_from_text(text, path):
     graph = DependencyGraph(nodes=tuple(nodes), edges=tuple(edges))
     violations = validate(graph)
     if violations:
-        raise GraphInvariantError(violations)
+        raise GraphInvariantError(violations, path)
     return graph
 
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import trustconnect.trust as trust_module
+from trustconnect.experiment import reference_fixture
 
 from trustconnect.detector import DetectionEntry, DetectionReport, DetectorParams
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
@@ -31,6 +36,7 @@ from trustconnect.trust import (
     edge_weights,
     full_report,
     json_text,
+    report_from_weights,
     trust_scores,
 )
 
@@ -683,3 +689,178 @@ class TestJsonText:
         )
         text = report.to_json()
         assert json_text(json.loads(text)) == _dumps(json.loads(text)) == text
+
+
+class TestConvergenceFacts:
+    @pytest.mark.parametrize("alpha, iterations", [(0.05, 10), (0.1, 13), (0.2, 19), (0.4, 39)])
+    def test_reference_fixture_fixed_point_count_is_pinned(self, alpha, iterations):
+        graph, scenario = reference_fixture()
+        snapshot = synthesize_snapshot(graph, scenario)
+        report = full_report(graph, snapshot, TrustParams(k=1.0, alpha=alpha, mode="fixed-point"))
+        assert (report.iterations, report.converged) == (iterations, True)
+        assert 0.0 < report.residual < report.params.tolerance
+
+    def test_count_is_the_least_cap_that_converges(self):
+        graph, scenario = reference_fixture()
+        snapshot = synthesize_snapshot(graph, scenario)
+        params = TrustParams(k=1.0, alpha=0.2, mode="fixed-point")
+        report = full_report(graph, snapshot, params)
+        assert full_report(graph, snapshot, replace(
+            params, max_iterations=report.iterations)).converged
+        with pytest.warns(NonConvergenceWarning):
+            short = full_report(graph, snapshot, replace(
+                params, max_iterations=report.iterations - 1))
+        assert (short.converged, short.iterations) == (False, report.iterations - 1)
+        assert short.residual >= params.tolerance
+
+    def test_single_pass_is_one_iteration_with_no_residual(self):
+        graph, scenario = reference_fixture()
+        report = full_report(graph, synthesize_snapshot(graph, scenario),
+                             TrustParams(k=1.0, alpha=0.4))
+        assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
+
+    def test_no_serializer_lists_them(self):
+        graph, scenario = reference_fixture()
+        report = full_report(graph, synthesize_snapshot(graph, scenario),
+                             TrustParams(k=1.0, alpha=0.1, mode="fixed-point"))
+        plain = replace(report, iterations=1, residual=0.0)
+        for name in ("to_text", "to_csv", "to_json", "to_svg"):
+            assert getattr(report, name)() == getattr(plain, name)()
+
+
+# weights a row can carry: zero, subnormal, one that overflows when two meet, and plain ones
+KERNEL_WEIGHTS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e308, 1.0]),
+                           st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    epsilons = st.sampled_from([0.0, 5e-324, 0.25, 1.0]) | st.floats(0.0, 1.0)
+    graph = build([(i, draw(epsilons)) for i in range(n)], edges)
+    weights = draw(st.lists(KERNEL_WEIGHTS, min_size=len(edges), max_size=len(edges)))
+    params = TrustParams(k=1.0, alpha=draw(st.sampled_from([0.0, 0.1, 0.9, 2.0, 1e300])),
+                         c0=draw(st.sampled_from([1.0, 0.0, -0.0, -3.5, 1e308])),
+                         mode="fixed-point", max_iterations=draw(st.integers(1, 40)))
+    return graph, weights, params
+
+
+def report_outcome(graph, weights, params):
+    """A report's every float as ``float.hex``, its facts and warnings; or the ValueError text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = report_from_weights(graph, weights, params)
+        except ValueError as exc:
+            return str(exc)
+    return ([(e.btv.hex(), e.trust.hex(), e.eatv.hex()) for e in report.entries],
+            report.network_trust.hex(), report.converged, report.iterations,
+            report.residual.hex(), [str(w.message) for w in caught])
+
+
+def kernel_outcome(graph, weights, params):
+    """``report_outcome`` with trust and baseline summed by the row kernels."""
+    copy = DependencyGraph(nodes=graph.nodes, edges=graph.edges)
+    trust_module._row_kernels(copy.compiled, True)
+    trust_module._row_kernels(copy.compiled, True)
+    assert "rows" in copy.compiled.kernels
+    return report_outcome(copy, weights, params)
+
+
+class TestRowKernels:
+    @settings(max_examples=150)
+    @given(case=kernel_cases(), rows=st.integers(1, 4), terms=st.integers(1, 6))
+    def test_kernels_and_loop_agree_bit_for_bit(self, case, rows, terms):
+        # small budgets split rows across statements and graphs across kernels
+        with mock.patch.multiple(trust_module, KERNEL_ROWS=rows, KERNEL_TERMS=terms):
+            assert kernel_outcome(*case) == report_outcome(*case)
+
+    @pytest.mark.parametrize("pattern", [(0.0, 5e-324, 0.1, 1e-310, 0.7), (0.3, 1e308, 0.0)])
+    def test_a_hub_row_of_5000_edges_agrees(self, pattern):
+        hub = [(0, j) for j in range(1, 5001)]
+        graph = build([(i, 0.5) for i in range(5001)], hub + [(7, 0), (9, 3)])
+        weights = [pattern[e % len(pattern)] for e in range(len(graph.edges))]
+        params = TrustParams(k=1.0, alpha=0.1, mode="fixed-point")
+        loop = report_outcome(graph, weights, params)
+        assert loop == kernel_outcome(graph, weights, params)
+        assert isinstance(loop, str) == (1e308 in pattern)  # two 1e308 weights overflow
+
+    def test_non_convergence_warns_alike(self):
+        graph = build([(0, 1.0), (1, 1.0)], [(0, 1), (1, 0)])
+        case = (graph, [1.0, 1.0], TrustParams(k=1.0, alpha=2.0, mode="fixed-point"))
+        outcome = report_outcome(*case)
+        assert outcome == kernel_outcome(*case)
+        assert outcome[2] is False and "did not converge" in outcome[-1][0]
+
+    def test_overflow_raises_the_same_error(self):
+        graph = build([(0, 1.0), (1, 1.0)], [(0, 1), (1, 0)])
+        case = (graph, [1e308, 1e308], TrustParams(k=1.0, alpha=1.0, mode="fixed-point"))
+        outcome = report_outcome(*case)
+        assert outcome == kernel_outcome(*case)
+        assert outcome.startswith("trust score of node 0 is inf, not finite")
+
+
+def kernel_builds(monkeypatch) -> list:
+    """The row ranges every later kernel build compiles, in build order."""
+    built = []
+    kernel = trust_module._kernel
+    monkeypatch.setattr(trust_module, "_kernel",
+                        lambda cg, rows: built.append(rows) or kernel(cg, rows))
+    return built
+
+
+class TestRowKernelPolicy:
+    params = TrustParams(k=1.0, alpha=0.1, mode="fixed-point")
+
+    def _graph_and_snapshot(self):
+        graph, scenario = reference_fixture()
+        return graph, synthesize_snapshot(graph, scenario)
+
+    def test_one_report_builds_nothing(self, monkeypatch):
+        built = kernel_builds(monkeypatch)
+        graph, snapshot = self._graph_and_snapshot()
+        full_report(graph, snapshot, self.params)
+        assert built == [] and "rows" not in graph.compiled.kernels
+
+    def test_the_second_report_builds_once(self, monkeypatch):
+        built = kernel_builds(monkeypatch)
+        graph, snapshot = self._graph_and_snapshot()
+        reports = [full_report(graph, snapshot, self.params) for _ in range(4)]
+        kernels = graph.compiled.kernels["rows"]
+        # every row once, in order, in as many kernels as were built
+        assert [row for rows in built for row in rows] == list(range(len(graph.nodes)))
+        assert len(built) == len(kernels) > 1
+        assert all(report == reports[0] for report in reports)
+
+    def test_a_graph_above_the_cap_never_builds(self, monkeypatch):
+        built = kernel_builds(monkeypatch)
+        graph, snapshot = self._graph_and_snapshot()
+        monkeypatch.setattr(trust_module, "KERNEL_EDGE_CAP", len(graph.edges) - 1)
+        for _ in range(3):
+            full_report(graph, snapshot, self.params)
+        assert built == [] and "rows" not in graph.compiled.kernels
+
+    def test_single_pass_and_baselines_build_nothing(self, monkeypatch):
+        built = kernel_builds(monkeypatch)
+        graph, snapshot = self._graph_and_snapshot()
+        for alpha in (0.1, 0.2, 0.3):
+            baseline_trust(graph, replace(self.params, alpha=alpha))
+            full_report(graph, snapshot, replace(self.params, mode="single-pass"))
+        assert built == []
+
+    def test_building_200_node_kernels_peaks_below_a_fixed_bound(self):
+        # chunked: about 0.7 MB; one function for the whole graph: about 7.4 MB
+        graph = generate_random(n=200, edge_probability=0.05, seed=0)
+        assert len(graph.edges) > 1900
+        trust_module._row_kernels(graph.compiled, True)
+        tracemalloc.start()
+        try:
+            trust_module._row_kernels(graph.compiled, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "rows" in graph.compiled.kernels
+        assert peak < 2_000_000
