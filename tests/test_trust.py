@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trustconnect.trust as trust_module
-from trustconnect.experiment import reference_fixture
-
 from trustconnect.detector import DetectionEntry, DetectionReport, DetectorParams
+from trustconnect.experiment import reference_fixture
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
 from trustconnect.snapshot import (
     AttackSpec,
@@ -691,18 +690,22 @@ class TestJsonText:
         assert json_text(json.loads(text)) == _dumps(json.loads(text)) == text
 
 
+def reference_inputs():
+    """The bundled reference graph and the snapshot of its scenario."""
+    graph, scenario = reference_fixture()
+    return graph, synthesize_snapshot(graph, scenario)
+
+
 class TestConvergenceFacts:
     @pytest.mark.parametrize("alpha, iterations", [(0.05, 10), (0.1, 13), (0.2, 19), (0.4, 39)])
     def test_reference_fixture_fixed_point_count_is_pinned(self, alpha, iterations):
-        graph, scenario = reference_fixture()
-        snapshot = synthesize_snapshot(graph, scenario)
+        graph, snapshot = reference_inputs()
         report = full_report(graph, snapshot, TrustParams(k=1.0, alpha=alpha, mode="fixed-point"))
         assert (report.iterations, report.converged) == (iterations, True)
         assert 0.0 < report.residual < report.params.tolerance
 
     def test_count_is_the_least_cap_that_converges(self):
-        graph, scenario = reference_fixture()
-        snapshot = synthesize_snapshot(graph, scenario)
+        graph, snapshot = reference_inputs()
         params = TrustParams(k=1.0, alpha=0.2, mode="fixed-point")
         report = full_report(graph, snapshot, params)
         assert full_report(graph, snapshot, replace(
@@ -714,15 +717,12 @@ class TestConvergenceFacts:
         assert short.residual >= params.tolerance
 
     def test_single_pass_is_one_iteration_with_no_residual(self):
-        graph, scenario = reference_fixture()
-        report = full_report(graph, synthesize_snapshot(graph, scenario),
-                             TrustParams(k=1.0, alpha=0.4))
+        report = full_report(*reference_inputs(), TrustParams(k=1.0, alpha=0.4))
         assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
 
     def test_no_serializer_lists_them(self):
-        graph, scenario = reference_fixture()
-        report = full_report(graph, synthesize_snapshot(graph, scenario),
-                             TrustParams(k=1.0, alpha=0.1, mode="fixed-point"))
+        params = TrustParams(k=1.0, alpha=0.1, mode="fixed-point")
+        report = full_report(*reference_inputs(), params)
         plain = replace(report, iterations=1, residual=0.0)
         for name in ("to_text", "to_csv", "to_json", "to_svg"):
             assert getattr(report, name)() == getattr(plain, name)()
@@ -815,19 +815,15 @@ def kernel_builds(monkeypatch) -> list:
 class TestRowKernelPolicy:
     params = TrustParams(k=1.0, alpha=0.1, mode="fixed-point")
 
-    def _graph_and_snapshot(self):
-        graph, scenario = reference_fixture()
-        return graph, synthesize_snapshot(graph, scenario)
-
     def test_one_report_builds_nothing(self, monkeypatch):
         built = kernel_builds(monkeypatch)
-        graph, snapshot = self._graph_and_snapshot()
+        graph, snapshot = reference_inputs()
         full_report(graph, snapshot, self.params)
         assert built == [] and "rows" not in graph.compiled.kernels
 
     def test_the_second_report_builds_once(self, monkeypatch):
         built = kernel_builds(monkeypatch)
-        graph, snapshot = self._graph_and_snapshot()
+        graph, snapshot = reference_inputs()
         reports = [full_report(graph, snapshot, self.params) for _ in range(4)]
         kernels = graph.compiled.kernels["rows"]
         # every row once, in order, in as many kernels as were built
@@ -837,7 +833,7 @@ class TestRowKernelPolicy:
 
     def test_a_graph_above_the_cap_never_builds(self, monkeypatch):
         built = kernel_builds(monkeypatch)
-        graph, snapshot = self._graph_and_snapshot()
+        graph, snapshot = reference_inputs()
         monkeypatch.setattr(trust_module, "KERNEL_EDGE_CAP", len(graph.edges) - 1)
         for _ in range(3):
             full_report(graph, snapshot, self.params)
@@ -845,7 +841,7 @@ class TestRowKernelPolicy:
 
     def test_single_pass_and_baselines_build_nothing(self, monkeypatch):
         built = kernel_builds(monkeypatch)
-        graph, snapshot = self._graph_and_snapshot()
+        graph, snapshot = reference_inputs()
         for alpha in (0.1, 0.2, 0.3):
             baseline_trust(graph, replace(self.params, alpha=alpha))
             full_report(graph, snapshot, replace(self.params, mode="single-pass"))
