@@ -183,13 +183,22 @@ def run_sweep_on(
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    g = spec.graph_random
-    graph = load_graph(spec.graph_file) if g is None else generate_random(
-        n=g.n, edge_probability=g.edge_probability, epsilon_distribution=g.epsilon, seed=g.seed)
+    if spec.graph_file is not None:
+        graph = load_graph(spec.graph_file)
+    else:
+        g = spec.graph_random
+        graph = generate_random(
+            n=g.n, edge_probability=g.edge_probability,
+            epsilon_distribution=g.epsilon, seed=g.seed,
+        )
     truth = constant_ground_truth(graph, spec.truth_constant)
     truth.update(spec.truth_overrides)
-    scenario = ScenarioSpec(ground_truth=truth, noise_sigma=spec.noise_sigma,
-                            attack=spec.attack, seed=spec.scenario_seed)
+    scenario = ScenarioSpec(
+        ground_truth=truth,
+        noise_sigma=spec.noise_sigma,
+        attack=spec.attack,
+        seed=spec.scenario_seed,
+    )
     return run_sweep_on(
         graph, scenario,
         k_values=spec.k_values, alpha_values=spec.alpha_values, mode=spec.mode,

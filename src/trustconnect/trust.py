@@ -99,8 +99,13 @@ def edge_weights(devs: Iterable[float], k: float) -> list[float]:
     return [exp(-k * d) for d in devs]
 
 
-# the generated row kernels' bounds; README, "How evaluation runs", has their measurements
-KERNEL_EDGE_CAP, KERNEL_ROWS, KERNEL_TERMS = 50_000, 16, 128
+# The generated row kernels' bounds; README, "How evaluation runs", has their measurements.
+# A graph's loop iterations pay for its kernels' build at about KERNEL_BUILD_ITERATIONS,
+# and a graph's kernels retain about 175 bytes per edge: at most 9 MB under the cap.
+KERNEL_BUILD_ITERATIONS = 500
+KERNEL_EDGE_CAP = 50_000
+KERNEL_ROWS = 16
+KERNEL_TERMS = 128
 
 
 def _kernel(cg: CompiledGraph, rows: range):
@@ -109,51 +114,57 @@ def _kernel(cg: CompiledGraph, rows: range):
     Each is ``0.0 + (p[j0] + w[e0]) + (p[j1] + w[e1]) + ...``, the loop's own sum, in
     statements of at most KERNEL_TERMS terms, which keeps the compiler's recursion shallow.
     """
-    lines, totals = ["def kernel(p, w):"], []
+    lines = ["def kernel(p, w):"]
+    totals = []
     for row in rows:
         edges = range(cg.offsets[row], cg.offsets[row + 1])
-        terms, total = [f"(p[{cg.dst[e]}] + w[{e}])" for e in edges], "0.0"
+        terms = [f"(p[{cg.dst[e]}] + w[{e}])" for e in edges]
+        total = "0.0"
         while len(terms) > KERNEL_TERMS:
             lines.append(f" t{row} = {' + '.join([total, *terms[:KERNEL_TERMS]])}")
-            total, terms = f"t{row}", terms[KERNEL_TERMS:]
+            total = f"t{row}"
+            terms = terms[KERNEL_TERMS:]
         totals.append(" + ".join([total, *terms]))
-    source = "\n".join([*lines, f" return [{', '.join(totals)}]"])
-    exec(compile(source, "<row kernel>", "exec"), namespace := {})
+    lines.append(f" return [{', '.join(totals)}]")
+    namespace = {}
+    exec(compile("\n".join(lines), "<row kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _row_kernels(cg: CompiledGraph, build: bool):
+def _row_kernels(cg: CompiledGraph):
     """The row kernels memoized on ``cg``, or None while it has none.
 
-    The second trust evaluation (``build``) on a graph of at most KERNEL_EDGE_CAP
-    edges builds them, so a one-shot report pays no build. Each kernel holds
-    at most KERNEL_ROWS rows of KERNEL_TERMS terms in all, unless one row alone is
-    longer: small compile units keep the compiler's peak memory small.
+    They are built once the loop has run KERNEL_BUILD_ITERATIONS fixed-point
+    iterations on a graph of at most KERNEL_EDGE_CAP edges: the loop time the
+    kernels would have saved by then about equals their build time, so no
+    run of evaluations pays more than about twice its best choice, and a
+    one-shot report builds nothing. Each kernel holds at most KERNEL_ROWS rows
+    of KERNEL_TERMS terms in all, unless one row alone is longer: small compile
+    units keep the compiler's peak memory small.
     """
     memo, offsets, n = cg.kernels, cg.offsets, len(cg.ids)
-    if build and len(cg.dst) <= KERNEL_EDGE_CAP:
-        memo["evaluations"] = memo.get("evaluations", 0) + 1
-        if memo["evaluations"] == 2:
-            kernels, start = [], 0
-            for stop in range(1, n + 1):  # rows start:stop, unless row stop would overfill
-                if (stop == n or stop - start == KERNEL_ROWS
-                        or offsets[stop + 1] - offsets[start] > KERNEL_TERMS):
-                    kernels.append(_kernel(cg, range(start, stop)))
-                    start = stop
-            memo["rows"] = kernels
+    if ("rows" not in memo and len(cg.dst) <= KERNEL_EDGE_CAP
+            and memo.get("iterations", 0) >= KERNEL_BUILD_ITERATIONS):
+        kernels, start = [], 0
+        for stop in range(1, n + 1):  # rows start:stop, unless row stop would overfill
+            if (stop == n or stop - start == KERNEL_ROWS
+                    or offsets[stop + 1] - offsets[start] > KERNEL_TERMS):
+                kernels.append(_kernel(cg, range(start, stop)))
+                start = stop
+        memo["rows"] = kernels
     return memo.get("rows")
 
 
-def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams,
-               build: bool = True):
+def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams):
     """Scores by node index for edge-aligned weights, the iteration count and the residual.
 
     Both modes sum each row left to right, bit for bit the documented recurrence.
     Single-pass updates the score list in place (a neighbor not yet evaluated still holds
     c0) off one iterator over the edges: one iteration, residual 0.0. Fixed-point sums
     ``products[j] + weight``, one product epsilon[j] * alpha * C(j) per node, by the row
-    kernels (``build`` as in ``_row_kernels``) or the loop, until the residual, the
-    max-norm change of the last iterate, is below the tolerance.
+    kernels (see ``_row_kernels``) or else the loop, whose iterations count towards
+    building them, until the residual, the max-norm change of the last iterate, is below
+    the tolerance.
     """
     offsets = cg.offsets
     factors = [epsilon * params.alpha for epsilon in cg.epsilons]
@@ -167,7 +178,7 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams,
                 total += factors[j] * scores[j] + weight
             scores[i] = total
     else:
-        kernels = _row_kernels(cg, build)
+        kernels = _row_kernels(cg)
         if kernels is None:
             terms = list(zip(cg.dst, weights))
             rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
@@ -189,6 +200,8 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams,
             scores = nxt
             if change < params.tolerance:
                 break
+        if kernels is None:
+            cg.kernels["iterations"] = cg.kernels.get("iterations", 0) + iterations
     # finite inputs can still overflow; a finite sum proves every score finite
     if not math.isfinite(sum(scores)):
         for node_id, score in zip(cg.ids, scores):
@@ -204,12 +217,12 @@ def _baseline(cg: CompiledGraph, params: TrustParams):
     """Memoized baseline scores by node index, iteration count and residual.
 
     Every baseline weight is exp(-k * 0.0) == 1.0 exactly, so k is not part of
-    the key. It builds no row kernels, but runs on them once they are built.
+    the key.
     """
     key = (params.alpha, params.c0, params.mode, params.max_iterations, params.tolerance)
     memo = cg.baselines.get(key)
     if memo is None:
-        scores, iterations, residual = _propagate(cg, repeat(1.0, len(cg.dst)), params, False)
+        scores, iterations, residual = _propagate(cg, repeat(1.0, len(cg.dst)), params)
         memo = cg.baselines[key] = (tuple(scores), iterations, residual)
     return memo
 

@@ -357,6 +357,26 @@ def test_every_package_export_resolves():
     assert namespace["deviations"] is deviations
 
 
+def test_package_exports_are_exactly_the_public_api():
+    # __all__ is built from the package's imports; a new import must be added here too
+    import trustconnect
+
+    assert sorted(trustconnect.__all__) == [
+        "AttackSpec", "CellCheck", "DependencyGraph", "DetectionEntry", "DetectionReport",
+        "DetectorParams", "EcuNode", "EpsilonDistribution", "GraphInvariantError",
+        "NonConvergenceWarning", "ParseError", "RandomGraphSpec", "ScenarioSpec", "Snapshot",
+        "SnapshotMismatchError", "SweepResult", "SweepSpec", "TrustConnectError", "TrustEntry",
+        "TrustParams", "TrustReport", "__version__", "adjusted_trust", "baseline_trust",
+        "check_gap_ordering", "constant_ground_truth", "detect", "deviations",
+        "emit_figure_data", "full_report", "generate_random", "grouped_bar_svg", "load_graph",
+        "load_scenario", "load_snapshot", "load_sweep_spec", "parse_epsilon_dist",
+        "reference_fixture", "reference_sweep_spec", "relative_gap", "run_sweep",
+        "run_sweep_on", "save_graph", "save_scenario", "save_snapshot", "save_sweep_spec",
+        "synthesize_snapshot", "trust_scores", "validate", "validate_snapshot",
+    ]
+    assert len(set(trustconnect.__all__)) == len(trustconnect.__all__)
+
+
 # ---------------------------------------------------------------------------
 # file round-trip
 # ---------------------------------------------------------------------------

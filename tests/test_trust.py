@@ -761,12 +761,16 @@ def report_outcome(graph, weights, params):
             report.residual.hex(), [str(w.message) for w in caught])
 
 
+def build_kernels(cg):
+    """``cg``'s row kernels, built now whatever the loop has run on it."""
+    with mock.patch.object(trust_module, "KERNEL_BUILD_ITERATIONS", 0):
+        return trust_module._row_kernels(cg)
+
+
 def kernel_outcome(graph, weights, params):
     """``report_outcome`` with trust and baseline summed by the row kernels."""
     copy = DependencyGraph(nodes=graph.nodes, edges=graph.edges)
-    trust_module._row_kernels(copy.compiled, True)
-    trust_module._row_kernels(copy.compiled, True)
-    assert "rows" in copy.compiled.kernels
+    assert build_kernels(copy.compiled) is not None
     return report_outcome(copy, weights, params)
 
 
@@ -821,42 +825,60 @@ class TestRowKernelPolicy:
         full_report(graph, snapshot, self.params)
         assert built == [] and "rows" not in graph.compiled.kernels
 
-    def test_the_second_report_builds_once(self, monkeypatch):
+    def test_builds_once_the_loop_has_run_the_threshold(self, monkeypatch):
         built = kernel_builds(monkeypatch)
+        monkeypatch.setattr(trust_module, "KERNEL_BUILD_ITERATIONS", 40)
         graph, snapshot = reference_inputs()
-        reports = [full_report(graph, snapshot, self.params) for _ in range(4)]
-        kernels = graph.compiled.kernels["rows"]
-        # every row once, in order, in as many kernels as were built
+        memo = graph.compiled.kernels
+        reports, counts, builds = [], [], []
+        for _ in range(5):
+            reports.append(full_report(graph, snapshot, self.params))
+            counts.append(memo["iterations"])
+            builds.append(len(built))
+        # 13 loop iterations per trust evaluation, and 13 for the one baseline;
+        # the fourth report starts at 52 >= 40, so it builds and runs no loop
+        assert [report.iterations for report in reports] == [13] * 5
+        assert counts == [26, 39, 52, 52, 52]
+        assert builds[:3] == [0, 0, 0] and builds[3] == builds[4] == len(memo["rows"]) > 1
+        # every row once, in order
         assert [row for rows in built for row in rows] == list(range(len(graph.nodes)))
-        assert len(built) == len(kernels) > 1
         assert all(report == reports[0] for report in reports)
+
+    def test_baselines_count_towards_the_build(self, monkeypatch):
+        built = kernel_builds(monkeypatch)
+        monkeypatch.setattr(trust_module, "KERNEL_BUILD_ITERATIONS", 13)
+        graph, snapshot = reference_inputs()
+        baseline_trust(graph, self.params)
+        assert built == [] and graph.compiled.kernels["iterations"] == 13
+        trust_scores(graph, snapshot, self.params)
+        assert len(built) == len(graph.compiled.kernels["rows"])
 
     def test_a_graph_above_the_cap_never_builds(self, monkeypatch):
         built = kernel_builds(monkeypatch)
+        monkeypatch.setattr(trust_module, "KERNEL_BUILD_ITERATIONS", 0)
         graph, snapshot = reference_inputs()
         monkeypatch.setattr(trust_module, "KERNEL_EDGE_CAP", len(graph.edges) - 1)
         for _ in range(3):
             full_report(graph, snapshot, self.params)
         assert built == [] and "rows" not in graph.compiled.kernels
 
-    def test_single_pass_and_baselines_build_nothing(self, monkeypatch):
+    def test_single_pass_neither_counts_nor_builds(self, monkeypatch):
         built = kernel_builds(monkeypatch)
+        monkeypatch.setattr(trust_module, "KERNEL_BUILD_ITERATIONS", 0)
         graph, snapshot = reference_inputs()
         for alpha in (0.1, 0.2, 0.3):
-            baseline_trust(graph, replace(self.params, alpha=alpha))
-            full_report(graph, snapshot, replace(self.params, mode="single-pass"))
-        assert built == []
+            full_report(graph, snapshot, replace(self.params, alpha=alpha, mode="single-pass"))
+        assert built == [] and graph.compiled.kernels == {}
 
     def test_building_200_node_kernels_peaks_below_a_fixed_bound(self):
         # chunked: about 0.7 MB; one function for the whole graph: about 7.4 MB
         graph = generate_random(n=200, edge_probability=0.05, seed=0)
         assert len(graph.edges) > 1900
-        trust_module._row_kernels(graph.compiled, True)
         tracemalloc.start()
         try:
-            trust_module._row_kernels(graph.compiled, True)
+            kernels = build_kernels(graph.compiled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "rows" in graph.compiled.kernels
+        assert kernels is graph.compiled.kernels["rows"]
         assert peak < 2_000_000
