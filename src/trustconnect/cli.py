@@ -58,9 +58,7 @@ _SCENARIO_FLAGS = {
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("TRUSTCONNECT_SEED")
-    if env is None:
-        return 0
+    env = os.environ.get("TRUSTCONNECT_SEED", "0")
     try:
         return int(env)
     except ValueError:

@@ -209,10 +209,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # sweep spec files
 
 
-def _format_values(values) -> str:
-    return ",".join(repr(v) for v in values)
-
-
 def sweep_spec_to_text(spec: SweepSpec) -> str:
     lines = [SWEEP_HEADER]
     if spec.graph_file is not None:
@@ -233,8 +229,8 @@ def sweep_spec_to_text(spec: SweepSpec) -> str:
     lines.append(f"scenario_seed {spec.scenario_seed}")
     if spec.attack is not None:
         lines.append(attack_to_text(spec.attack))
-    lines.append(f"k_values {_format_values(spec.k_values)}")
-    lines.append(f"alpha_values {_format_values(spec.alpha_values)}")
+    lines.append(f"k_values {','.join(map(repr, spec.k_values))}")
+    lines.append(f"alpha_values {','.join(map(repr, spec.alpha_values))}")
     lines.append(f"mode {spec.mode}")
     return "\n".join(lines) + "\n"
 
@@ -319,15 +315,10 @@ def reference_fixture() -> tuple[DependencyGraph, ScenarioSpec]:
 def reference_sweep_spec(graph_file: str = "reference_graph.txt") -> SweepSpec:
     """Sweep spec mirroring the bundled scenario, for a saved graph file."""
     _, scenario = reference_fixture()
-    truth_values = set(scenario.ground_truth.values())
-    if len(truth_values) == 1:
-        constant, overrides = truth_values.pop(), ()
-    else:
-        constant, overrides = 0.0, tuple(sorted(scenario.ground_truth.items()))
+    (constant,) = set(scenario.ground_truth.values())
     return SweepSpec(
         graph_file=graph_file,
         truth_constant=constant,
-        truth_overrides=overrides,
         noise_sigma=scenario.noise_sigma,
         attack=scenario.attack,
         scenario_seed=scenario.seed,

@@ -107,6 +107,10 @@ class CompiledGraph:
     baselines: dict = field(default_factory=dict, compare=False, repr=False)
     kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __reduce__(self):
+        """A pickle or copy holds the four arrays only: its memos are rebuilt on use."""
+        return CompiledGraph, (self.ids, self.epsilons, self.offsets, self.dst)
+
     def sources_of(self, values: Iterable) -> Iterator:
         """Per edge, in edge order, the entry of ``values`` (one per node) for its source."""
         return chain.from_iterable(map(repeat, values, map(sub, self.offsets[1:], self.offsets)))

@@ -104,7 +104,6 @@ def edge_weights(devs: Iterable[float], k: float) -> list[float]:
 # and a graph's kernels retain about 175 bytes per edge: at most 9 MB under the cap.
 KERNEL_BUILD_ITERATIONS = 500
 KERNEL_EDGE_CAP = 50_000
-KERNEL_ROWS = 16
 KERNEL_TERMS = 128
 
 
@@ -138,8 +137,8 @@ def _row_kernels(cg: CompiledGraph):
     iterations on a graph of at most KERNEL_EDGE_CAP edges: the loop time the
     kernels would have saved by then about equals their build time, so no
     run of evaluations pays more than about twice its best choice, and a
-    one-shot report builds nothing. Each kernel holds at most KERNEL_ROWS rows
-    of KERNEL_TERMS terms in all, unless one row alone is longer: small compile
+    one-shot report builds nothing. Each kernel compiles at most KERNEL_TERMS terms,
+    a row's leading 0.0 among them, unless one row alone is longer: small compile
     units keep the compiler's peak memory small.
     """
     memo, offsets, n = cg.kernels, cg.offsets, len(cg.ids)
@@ -147,8 +146,7 @@ def _row_kernels(cg: CompiledGraph):
             and memo.get("iterations", 0) >= KERNEL_BUILD_ITERATIONS):
         kernels, start = [], 0
         for stop in range(1, n + 1):  # rows start:stop, unless row stop would overfill
-            if (stop == n or stop - start == KERNEL_ROWS
-                    or offsets[stop + 1] - offsets[start] > KERNEL_TERMS):
+            if stop == n or offsets[stop + 1] - offsets[start] + stop + 1 - start > KERNEL_TERMS:
                 kernels.append(_kernel(cg, range(start, stop)))
                 start = stop
         memo["rows"] = kernels
@@ -390,17 +388,20 @@ def _network_trust(entries: tuple[TrustEntry, ...]) -> float:
     Each node contributes min(T, BTV) / BTV (1.0 when BTV is 0), so the
     aggregate is 1.0 exactly when nothing contradicts anything, and the
     testimony of easily-attacked nodes is discounted by their epsilon.
-    Falls back to the unweighted mean when every epsilon is zero.
+    Falls back to the unweighted mean when every epsilon is zero. Each total
+    is summed left to right, not by ``sum()``, which compensates on Python 3.12+.
     """
     if not entries:
         return 1.0
-    ratios = [
-        (min(e.trust, e.btv) / e.btv if e.btv > 0 else 1.0) for e in entries
-    ]
-    epsilon_sum = sum(e.epsilon for e in entries)
+    epsilon_sum = weighted_sum = ratio_sum = 0
+    for e in entries:
+        ratio = min(e.trust, e.btv) / e.btv if e.btv > 0 else 1.0
+        epsilon_sum += e.epsilon
+        weighted_sum += e.epsilon * ratio
+        ratio_sum += ratio
     if epsilon_sum > 0:
-        return sum(e.epsilon * r for e, r in zip(entries, ratios)) / epsilon_sum
-    return sum(ratios) / len(ratios)
+        return weighted_sum / epsilon_sum
+    return ratio_sum / len(entries)
 
 
 def full_report(

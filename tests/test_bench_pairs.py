@@ -144,3 +144,32 @@ def test_src_lines_totals_the_package_modules_as_wc_counts_them(tmp_path):
     (package / "data" / "c.py").write_text("not a package module\n")
     (package / "notes.txt").write_text("not python\n")
     assert bench_pairs.src_lines(tmp_path) == 3
+
+
+MODULE = '''"""A module docstring is no statement."""
+
+
+def scale(values, factor):
+    """Nor is a function's."""
+    # a comment is no statement either
+    total = sum(
+        values,
+    )
+    return total * factor
+'''
+
+
+@pytest.mark.parametrize("edit, change", [
+    (lambda text: text, 0),
+    (lambda text: text.replace("sum(\n        values,\n    )", "sum(values)"), 0),
+    (lambda text: text.replace("    # a comment is no statement either\n", ""), 0),
+    (lambda text: text.replace("    total = sum(\n        values,\n    )\n", "")
+     .replace("total * factor", "factor"), -1),
+])
+def test_src_statements_moves_only_when_a_statement_goes(tmp_path, edit, change):
+    package = tmp_path / "src" / "trustconnect"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(edit(MODULE))
+    (package / "b.py").write_text("class Empty:\n    'a class docstring'\n    pass\n")
+    # a.py: the def, the assignment and the return; b.py: the class and its pass
+    assert bench_pairs.src_statements(tmp_path) == 5 + change

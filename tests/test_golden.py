@@ -20,11 +20,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
+import trustconnect.trust as trust_module
 from trustconnect.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,6 +151,27 @@ def test_reference_sweep_bytes_match_golden(produced):
     names = sorted(n for n in produced if n.startswith("reference_sweep/"))
     mismatched = [n for n in names if produced[n] != (GOLDEN / n).read_bytes()]
     assert mismatched == []
+
+
+def _compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 and later computes it on floats (Neumaier's compensated sum)."""
+    total, compensation = start, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_network_trust_is_the_same_where_sum_compensates(tmp_path, monkeypatch):
+    monkeypatch.setattr(trust_module, "sum", _compensated_sum, raising=False)
+    _run(["fixture", "--output-dir", str(tmp_path)])
+    argv = ["eval", "--graph", str(tmp_path / "reference_graph.txt"), "--scenario-file",
+            str(tmp_path / "reference_scenario.txt"), "--format", "json"]
+    assert _run(argv).encode("utf-8") == (GOLDEN / "reference/eval_single-pass.json").read_bytes()
 
 
 def _write_goldens() -> None:

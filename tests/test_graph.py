@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trustconnect.graph as graph_module
+from trustconnect.cli import main
 from trustconnect.errors import GraphInvariantError, ParseError
 from trustconnect.experiment import RandomGraphSpec
 from trustconnect.graph import (
@@ -235,6 +236,17 @@ def test_parse_epsilon_dist():
         parse_epsilon_dist("gauss:0,1")
     with pytest.raises(ValueError):
         parse_epsilon_dist("uniform:0.5,1.5")
+    with pytest.raises(ValueError, match="unknown distribution kind 'bogus'"):
+        EpsilonDistribution("bogus")
+
+
+def test_generate_rejects_a_reversed_uniform_range(tmp_path, capsys):
+    argv = ["generate", "--epsilon", "uniform:0.9,0.1", "--out", str(tmp_path / "g.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "trustconnect: error: bad distribution spec 'uniform:0.9,0.1': "
+        "uniform distribution needs a <= b\n")
+    assert not (tmp_path / "g.txt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Trust scoring tests: weights, hand-worked scores, oracles, reports."""
 
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -776,10 +778,10 @@ def kernel_outcome(graph, weights, params):
 
 class TestRowKernels:
     @settings(max_examples=150)
-    @given(case=kernel_cases(), rows=st.integers(1, 4), terms=st.integers(1, 6))
-    def test_kernels_and_loop_agree_bit_for_bit(self, case, rows, terms):
+    @given(case=kernel_cases(), terms=st.integers(1, 6))
+    def test_kernels_and_loop_agree_bit_for_bit(self, case, terms):
         # small budgets split rows across statements and graphs across kernels
-        with mock.patch.multiple(trust_module, KERNEL_ROWS=rows, KERNEL_TERMS=terms):
+        with mock.patch.object(trust_module, "KERNEL_TERMS", terms):
             assert kernel_outcome(*case) == report_outcome(*case)
 
     @pytest.mark.parametrize("pattern", [(0.0, 5e-324, 0.1, 1e-310, 0.7), (0.3, 1e308, 0.0)])
@@ -828,6 +830,8 @@ class TestRowKernelPolicy:
     def test_builds_once_the_loop_has_run_the_threshold(self, monkeypatch):
         built = kernel_builds(monkeypatch)
         monkeypatch.setattr(trust_module, "KERNEL_BUILD_ITERATIONS", 40)
+        # the fixture's 79 edges and 20 rows fit one kernel of the default budget
+        monkeypatch.setattr(trust_module, "KERNEL_TERMS", 32)
         graph, snapshot = reference_inputs()
         memo = graph.compiled.kernels
         reports, counts, builds = [], [], []
@@ -869,6 +873,15 @@ class TestRowKernelPolicy:
         for alpha in (0.1, 0.2, 0.3):
             full_report(graph, snapshot, replace(self.params, alpha=alpha, mode="single-pass"))
         assert built == [] and graph.compiled.kernels == {}
+
+    def test_a_graph_with_kernels_pickles_and_copies_without_its_memos(self):
+        graph, snapshot = reference_inputs()
+        report = full_report(graph, snapshot, self.params)
+        assert build_kernels(graph.compiled) and graph.compiled.baselines
+        for graph_copy, snapshot_copy in (pickle.loads(pickle.dumps((graph, snapshot))),
+                                          copy.deepcopy((graph, snapshot))):
+            assert graph_copy.compiled.kernels == graph_copy.compiled.baselines == {}
+            assert full_report(graph_copy, snapshot_copy, self.params) == report
 
     def test_building_200_node_kernels_peaks_below_a_fixed_bound(self):
         # chunked: about 0.7 MB; one function for the whole graph: about 7.4 MB

@@ -29,7 +29,9 @@ summaries, ``change_wins`` and ``pairs``:
   bound; else ``unresolved`` when the spread is wider than the bound and
   not every change run is better; else ``no worse``.
 
-``src_lines`` records each side's line total of ``src/trustconnect/*.py``.
+``src_lines`` records each side's line total of ``src/trustconnect/*.py``, and
+``src_statements`` its count of statements there, docstrings excluded: a size
+that joining lines or deleting comments leaves as it is.
 
 Standard library only. The output has the schema of ``BENCH_5.json``, plus
 those keys, except that each per-layer metric is a ``summary`` of the traced
@@ -39,6 +41,7 @@ runs rather than one value, and ``attempted`` and ``failed`` are their sums.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -52,6 +55,7 @@ BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 PAIRS = 10
 TRACED_PAIRS = 3
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def git(*args: str) -> str:
@@ -72,6 +76,17 @@ def src_lines(checkout: Path) -> int:
     """The line total of ``src/trustconnect/*.py`` in ``checkout``, counted as ``wc -l`` does."""
     return sum(path.read_bytes().count(b"\n")
                for path in (checkout / "src" / "trustconnect").glob("*.py"))
+
+
+def src_statements(checkout: Path) -> int:
+    """The AST statements of ``src/trustconnect/*.py`` in ``checkout``, docstrings excluded."""
+    total = 0
+    for path in (checkout / "src" / "trustconnect").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            total += isinstance(node, ast.stmt)
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                total -= 1  # the docstring is the body's first statement
+    return total
 
 
 def bench(checkout: Path, workload: str, trace: int) -> dict:
@@ -171,6 +186,7 @@ def main(argv=None) -> int:
             "parent_commit": commits["parent"],
             "change_commit": commits["change"],
             "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
+            "src_statements": {side: src_statements(checkout) for side, checkout in sides.items()},
             "end_to_end": {
                 "command": command,
                 "method": f"{PAIRS} pairs per workload, alternating which side runs "
