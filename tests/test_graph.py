@@ -236,11 +236,11 @@ def test_parse_epsilon_dist():
         parse_epsilon_dist("gauss:0,1")
     with pytest.raises(ValueError):
         parse_epsilon_dist("uniform:0.5,1.5")
+
+
+def test_epsilon_distribution_rejects_an_unknown_kind_and_a_reversed_range(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown distribution kind 'bogus'"):
         EpsilonDistribution("bogus")
-
-
-def test_generate_rejects_a_reversed_uniform_range(tmp_path, capsys):
     argv = ["generate", "--epsilon", "uniform:0.9,0.1", "--out", str(tmp_path / "g.txt")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
