@@ -65,19 +65,12 @@ def _resolve_seed(args) -> int:
         raise ValueError(f"TRUSTCONNECT_SEED must be an integer, got {env!r}")
 
 
-def _inline_scenario_flags(args) -> list[str]:
-    return [
-        name for name in _SCENARIO_FLAGS if getattr(args, name) is not None
-    ]
-
-
-def _build_scenario(args, graph) -> ScenarioSpec:
+def _build_scenario(args, graph, inline: list[str]) -> ScenarioSpec:
     """Resolve the snapshot scenario from a file, inline flags, or both.
 
-    Inline flags win over the scenario file field by field; overriding
-    prints a warning to stderr naming the flags that took precedence.
+    The flags named in ``inline`` win over the scenario file field by field;
+    overriding prints a warning to stderr naming the flags that took precedence.
     """
-    inline = _inline_scenario_flags(args)
     if args.scenario_file is not None:
         scenario = load_scenario(args.scenario_file)
         if inline:
@@ -117,18 +110,19 @@ def _build_scenario(args, graph) -> ScenarioSpec:
 def _load_inputs(args):
     """The graph and snapshot that eval and detect read: (graph, snapshot)."""
     graph = load_graph(args.graph)
+    inline = [name for name in _SCENARIO_FLAGS if getattr(args, name) is not None]
     if args.snapshot is None:
-        scenario = _build_scenario(args, graph)
+        scenario = _build_scenario(args, graph, inline)
         try:
             return graph, synthesize_snapshot(graph, scenario)
         except ValueError as exc:
             # an id the inline flags did not set came from the scenario file
-            flag = args.attack_nodes if str(exc).startswith("attack") else args.truth_constant
-            if args.scenario_file is None or flag is not None:
+            if (args.scenario_file is None
+                    or args.attack_nodes is not None and str(exc).startswith("attack")):
                 raise
             raise ValueError(
                 f"{args.scenario_file} does not match {args.graph}: {exc}") from None
-    if args.scenario_file is not None or _inline_scenario_flags(args):
+    if args.scenario_file is not None or inline:
         raise ValueError("--snapshot and scenario flags are mutually exclusive")
     try:
         return graph, load_snapshot(args.snapshot, graph)

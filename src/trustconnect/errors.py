@@ -91,21 +91,21 @@ def read_records(text: str, path: str | None, header: str, records: dict) -> dic
 
     Line 1 must be ``header``; ``#`` starts a comment. ``records`` maps each
     kind to ``(usage, convert, shape)``. ``usage`` lists the fields after
-    the kind, e.g. ``"<i> <j>"``, and a bracketed field is optional.
-    ``convert`` maps the whole field list, kind first, to the record's
-    value. By ``shape``, a kind maps to: LIST, the list of its values in
-    file order; SINGLE, its one value, or nothing when no record has it;
-    ID, ``{id: value}``, one record per id, where the id is the int after
-    the kind, or the pair of ints after it when the value is the fourth
-    field. Every ValueError, the reader's own or a converter's, becomes a
-    ParseError at the record's line.
+    the kind, e.g. ``"<i> <j>"``; a kind with bracketed (optional) fields
+    counts its own in ``convert``, which maps the whole field list, kind
+    first, to the record's value. By ``shape``, a kind maps to: LIST, the
+    list of its values in file order; SINGLE, its one value, or nothing
+    when no record has it; ID, ``{id: value}``, one record per id, where
+    the id is the int after the kind, or the pair of ints after it when
+    the value is the fourth field. Every ValueError, the reader's own or a
+    converter's, becomes a ParseError at the record's line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"missing header {header!r}", path, 1)
     found = {kind: [] if shape == LIST else {}
              for kind, (_, _, shape) in records.items() if shape != SINGLE}
-    # per kind: the field count with all optional fields, the kind included
+    # per kind: the field count, the kind included
     plans = {kind: (len(usage.split()) + 1, convert, shape, found.get(kind))
              for kind, (usage, convert, shape) in records.items()}
     line_no = 1
@@ -123,10 +123,8 @@ def read_records(text: str, path: str | None, header: str, records: dict) -> dic
             count, convert, shape, values = plan
             if shape == SINGLE and kind in found:
                 raise ValueError(f"duplicate {kind} record")
-            if count != len(fields):  # off the common path: optional fields omitted
-                usage = records[kind][0]
-                if not count - usage.count("[") <= len(fields) < count:
-                    raise ValueError(f"expected: {kind} {usage}")
+            if count != len(fields) and "[" not in records[kind][0]:
+                raise ValueError(f"expected: {kind} {records[kind][0]}")
             if shape == LIST:
                 values.append(convert(fields))
             elif shape == SINGLE:

@@ -297,11 +297,11 @@ def from_text(text: str, path: str | None = None,
         return aligned
     found = read_records(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS)
     snapshot = Snapshot(observed=found["obs"], inferred=found["inf"])
-    # with one inferred value per edge and one observed value per node,
-    # all that can be wrong is a missing edge, which evaluation names;
-    # otherwise the full comparison lists the mismatches
+    # the graph's node ids and an inferred value for exactly its edges match
+    # it; otherwise the full comparison lists the mismatches
     if graph is not None and (len(snapshot.inferred) != len(graph.edges)
-                              or snapshot.observed.keys() != set(graph.node_ids)):
+                              or snapshot.observed.keys() != set(graph.node_ids)
+                              or not all(map(snapshot.inferred.__contains__, graph.edges))):
         problems = validate_snapshot(graph, snapshot)
         more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
         raise SnapshotMismatchError("; ".join(problems[:5]) + more)

@@ -25,26 +25,22 @@ _PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 _BASELINE = _MARGIN_TOP + _PLOT_H
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
 @lru_cache(maxsize=1)
 def _bar_layout(labels: tuple[str, ...], n_series: int) -> str:
     """Bar and label lines with ``%.2f`` slots for each bar's y and height, ``%`` doubled."""
     group_w = _PLOT_W / max(len(labels), 1)
     bar_w = group_w * 0.8 / max(n_series, 1)
-    width, label_y = _fmt(bar_w), _fmt(_BASELINE + 14)
+    width, label_y = f"{bar_w:.2f}", f"{_BASELINE + 14:.2f}"
     lines = []
     for gi, label in enumerate(labels):
         gx = _MARGIN_LEFT + gi * group_w
         for si in range(n_series):
             lines.append(
-                f'<rect x="{_fmt(gx + group_w * 0.1 + si * bar_w)}" y="%.2f" '
+                f'<rect x="{gx + group_w * 0.1 + si * bar_w:.2f}" y="%.2f" '
                 f'width="{width}" height="%.2f" fill="{PALETTE[si % len(PALETTE)]}"/>\n'
             )
         lines.append(
-            f'<text x="{_fmt(gx + group_w / 2)}" y="{label_y}" text-anchor="middle" '
+            f'<text x="{gx + group_w / 2:.2f}" y="{label_y}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="9">'
             f'{escape(label, quote=False).replace("%", "%%")}</text>\n'
         )
@@ -78,7 +74,7 @@ def grouped_bar_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
+        f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
     ]
 
@@ -86,9 +82,9 @@ def grouped_bar_svg(
     for step in range(5):
         y = _BASELINE - _PLOT_H * step / 4
         head += [
-            f'<line x1="{x0}" y1="{_fmt(y)}" x2="{x0 + _PLOT_W}" y2="{_fmt(y)}" '
+            f'<line x1="{x0}" y1="{y:.2f}" x2="{x0 + _PLOT_W}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>',
-            f'<text x="{x0 - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'<text x="{x0 - 6}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{peak * step / 4:.3g}</text>',
         ]
 
@@ -112,9 +108,9 @@ def grouped_bar_svg(
     lx, ly = x0, _BASELINE + 30
     for si, (name, _) in enumerate(series):
         tail += [
-            f'<rect x="{_fmt(lx)}" y="{ly - 9}" width="10" height="10" '
+            f'<rect x="{lx:.2f}" y="{ly - 9}" width="10" height="10" '
             f'fill="{PALETTE[si % len(PALETTE)]}"/>',
-            f'<text x="{_fmt(lx + 14)}" y="{ly}" font-family="sans-serif" '
+            f'<text x="{lx + 14:.2f}" y="{ly}" font-family="sans-serif" '
             f'font-size="11">{escape(name, quote=False)}</text>',
         ]
         lx += 20 + 7 * len(name)

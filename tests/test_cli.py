@@ -4,14 +4,20 @@ Every test drives main() in process and asserts on exit codes plus
 captured stdout/stderr, the same contract scripts and CI see.
 """
 
+import functools
 import gc
+import io
 import json
 import re
+import tempfile
 import xml.etree.ElementTree as ElementTree
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustconnect.cli import build_parser, main
 from trustconnect.experiment import (
@@ -19,9 +25,14 @@ from trustconnect.experiment import (
     run_sweep_on,
     save_sweep_spec,
     reference_sweep_spec,
+    sweep_spec_to_text,
 )
-from trustconnect.graph import DependencyGraph, EcuNode, generate_random, load_graph, save_graph
-from trustconnect.snapshot import Snapshot, save_snapshot, synthesize_snapshot
+from trustconnect.graph import (
+    DependencyGraph, EcuNode, generate_random, load_graph, save_graph, to_text as graph_to_text,
+)
+from trustconnect.snapshot import (
+    Snapshot, save_snapshot, scenario_to_text, synthesize_snapshot, to_text as snapshot_to_text,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -156,6 +167,23 @@ class TestEval:
         assert "observed value for unknown node 999" in err
         assert "inferred value for unknown edge (998, 999)" in err
 
+    @pytest.mark.parametrize("command", ["eval", "detect"])
+    def test_snapshot_of_other_edges_at_the_graphs_count_exits_2_naming_both(
+        self, fixture_dir, tmp_path, capsys, command
+    ):
+        graph_path, snap_path = fixture_dir / "reference_graph.txt", tmp_path / "snap.txt"
+        save_snapshot(synthesize_snapshot(*reference_fixture()), snap_path)
+        text = graph_path.read_text(encoding="utf-8")
+        assert text.endswith("\nedge 19 16\n")
+        graph_path.write_text(text.replace("\nedge 19 16\n", "\nedge 19 17\n"), encoding="utf-8")
+        assert main([command, "--graph", str(graph_path), "--snapshot", str(snap_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"trustconnect: error: {snap_path} does not match {graph_path}: "
+            "missing inferred value for edge (19, 17); inferred value for unknown edge (19, 16)\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--k", "--alpha", "--c0"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_param_exits_2_naming_it(self, fixture_dir, capsys, flag, value):
@@ -226,6 +254,20 @@ class TestEval:
                 assert captured.err == (
                     f"trustconnect: error: {path} does not match {graph_path}: {message}\n"
                 )
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise-sigma", "-1", "noise_sigma must be >= 0, got -1.0"),
+        ("--delta", "-2", "delta must be >= 0, got -2.0"),
+    ])
+    def test_an_inline_flags_own_error_is_not_blamed_on_the_scenario_file(
+        self, fixture_dir, capsys, flag, value, message
+    ):
+        rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                   "--scenario-file", str(fixture_dir / "reference_scenario.txt"), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"trustconnect: error: {message}\n")
+        assert "does not match" not in err
 
     def test_ids_from_inline_flags_keep_their_message(self, fixture_dir, capsys):
         scenario = str(fixture_dir / "reference_scenario.txt")
@@ -644,3 +686,90 @@ def test_graph_invariant_error_names_the_graph_file(fixture_dir, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"trustconnect: error: {path}: {message}\n"
+
+
+
+@functools.cache
+def _fuzz_files() -> dict[str, str]:
+    """The fixture's files by name, and a saved snapshot of its scenario."""
+    graph, scenario = reference_fixture()
+    return {
+        "reference_graph.txt": graph_to_text(graph),
+        "reference_scenario.txt": scenario_to_text(scenario),
+        "reference_sweep.txt": sweep_spec_to_text(reference_sweep_spec()),
+        "snapshot.txt": snapshot_to_text(synthesize_snapshot(graph, scenario)),
+    }
+
+
+FUZZ_TOKENS = ("nan", "1e309", "07", "#", "\t")
+# per command, its argv before the input files; the sweep takes its spec
+FUZZ_COMMANDS = {
+    "eval": ["eval", "--format", "json"],
+    "eval-fixed-point": ["eval", "--format", "json", "--mode", "fixed-point"],
+    "detect": ["detect", "--format", "json"],
+    "sweep": ["sweep", "--output-dir", "out"],
+}
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A command and the files it reads, one of them mutated: (argv, name, text).
+
+    Each argv entry that names a file of ``_fuzz_files()``, or ``out``, is a
+    path relative to the directory the files are written to.
+    """
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    if command == "sweep":
+        inputs = ["reference_sweep.txt"]
+        reads = ["reference_graph.txt", "reference_sweep.txt"]
+    else:
+        flag, source = draw(st.sampled_from([("--scenario-file", "reference_scenario.txt"),
+                                             ("--snapshot", "snapshot.txt")]))
+        inputs = ["--graph", "reference_graph.txt", flag, source]
+        reads = ["reference_graph.txt", source]
+    name = draw(st.sampled_from(reads))
+    lines = _fuzz_files()[name].splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["drop", "copy", "cut", "token"]))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "copy":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    elif mutation == "cut":
+        lines[at] = lines[at][:draw(st.integers(0, len(lines[at]) - 1))] + "\n"
+    else:  # a token in place of a field, or before it
+        fields = lines[at].rstrip("\n").split(" ")
+        k = draw(st.integers(0, len(fields)))
+        fields[k:k + draw(st.integers(0, 1))] = [draw(st.sampled_from(FUZZ_TOKENS))]
+        lines[at] = " ".join(fields) + "\n"
+    return [*FUZZ_COMMANDS[command], *inputs], name, "".join(lines)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzz_runs())
+def test_a_mutated_fixture_file_never_gives_a_traceback(run):
+    """Exit 0 with a finite report, 2 with an error, or 1 with an I/O error
+    (a mutated ``graph_file`` path); a raise would escape ``main``."""
+    argv, name, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        root, files = Path(tmp), _fuzz_files()
+        for file_name, original in files.items():
+            (root / file_name).write_text(original, encoding="utf-8")
+        (root / name).write_text(text, encoding="utf-8")
+        argv = [str(root / arg) if arg in files or arg == "out" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    if code == 1:
+        assert err.getvalue().startswith("trustconnect: i/o error: ")
+    elif code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("trustconnect: error: "), err.getvalue()
+    else:
+        assert code == 0, err.getvalue()
+        if argv[0] != "sweep":
+            json.loads(out.getvalue(), parse_constant=_no_constant)

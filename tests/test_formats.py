@@ -20,12 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from trustconnect import errors
 from trustconnect.errors import (
-    LIST,
     GraphInvariantError,
     ParseError,
     SnapshotMismatchError,
     finite_float,
-    read_records,
     split_lines,
 )
 from trustconnect.experiment import (
@@ -278,14 +276,17 @@ def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path, name, load):
     assert (excinfo.value.path, excinfo.value.line_no) == (str(marked), len(text.splitlines()) + 1)
 
 
-def test_reader_checks_optional_field_counts():
-    text = "h\npair 1\npair 1 2\n  # comment only\n\npair 1 2 3\n"
-    records = {"pair": ("<a> [<b>]", list, LIST)}
-    good = text[:-len("pair 1 2 3\n")]
-    assert read_records(good, "f", "h", records) == {"pair": [["pair", "1"], ["pair", "1", "2"]]}
+@pytest.mark.parametrize(
+    "fields",
+    ["", " n=3", " n=3 p=0.5 seed=1 epsilon=uniform n=4", " n=3 p=0.5 seed=1 epsilon=uniform x=1"],
+    ids=["1-field", "2-fields", "6-fields-repeated-key", "6-fields-unknown-key"],
+)
+def test_graph_random_checks_its_own_field_count(fields):
+    text = f"{SWEEP_HEADER}\ntruth_constant 1.0\ngraph_random{fields}\n"
     with pytest.raises(ParseError) as excinfo:
-        read_records(text, "f", "h", records)
-    assert str(excinfo.value) == "f:6: expected: pair <a> [<b>]"
+        parse_sweep_spec(text, "s.txt")
+    assert str(excinfo.value) == (
+        "s.txt:3: expected: graph_random n=<int> p=<float> [seed=<int>] [epsilon=<spec>]")
 
 
 class ReferenceRecordReader(AbstractContextManager):
