@@ -297,8 +297,8 @@ def from_text(text: str, path: str | None = None,
         return aligned
     found = read_records(text, path, SNAPSHOT_HEADER, SNAPSHOT_RECORDS)
     snapshot = Snapshot(observed=found["obs"], inferred=found["inf"])
-    # the graph's node ids and an inferred value for exactly its edges match
-    # it; otherwise the full comparison lists the mismatches
+    # a snapshot with the graph's node ids and values for exactly its edges
+    # matches it; otherwise the full comparison lists the mismatches
     if graph is not None and (len(snapshot.inferred) != len(graph.edges)
                               or snapshot.observed.keys() != set(graph.node_ids)
                               or not all(map(snapshot.inferred.__contains__, graph.edges))):
