@@ -115,10 +115,11 @@ def _load_inputs(args):
         scenario = _build_scenario(args, graph, inline)
         try:
             return graph, synthesize_snapshot(graph, scenario)
-        except ValueError as exc:
-            # an id the inline flags did not set came from the scenario file
+        except (ValueError, SnapshotMismatchError) as exc:
+            # an id inline flags did not set, or an overflow without inline noise, is the file's
             if (args.scenario_file is None
-                    or args.attack_nodes is not None and str(exc).startswith("attack")):
+                    or args.attack_nodes is not None and str(exc).startswith("attack")
+                    or args.noise_sigma is not None and isinstance(exc, SnapshotMismatchError)):
                 raise
             raise ValueError(
                 f"{args.scenario_file} does not match {args.graph}: {exc}") from None

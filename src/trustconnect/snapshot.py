@@ -183,7 +183,9 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
     delta when j is compromised in an inference-corruption mode. Noise
     draws come from a fresh random.Random(seed) stream consumed in
     canonical edge order, so identical inputs give identical snapshots.
-    A graph that ``graph.compiled`` rejects raises GraphInvariantError.
+    A graph that ``graph.compiled`` rejects raises GraphInvariantError. A value or
+    deviation that overflows raises here what ``deviations`` would; a finite sum of
+    magnitudes proves there is none.
     """
     node_ids = set(graph.node_ids)
     unknown = sorted(set(scenario.ground_truth) - node_ids)
@@ -213,7 +215,10 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
         if attack is not None and attack.corrupts_inferred and j in attack.compromised:
             value += attack.delta
         column.append(value)
-    return _column_snapshot(graph, observed, column)
+    snapshot = _column_snapshot(graph, observed, column)
+    if not math.isfinite(sum(map(abs, observed.values())) + sum(map(abs, column))):
+        _check_edges(graph, snapshot)
+    return snapshot
 
 
 def deviations(graph: DependencyGraph, snapshot: Snapshot) -> list[float]:

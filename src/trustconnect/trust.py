@@ -41,6 +41,7 @@ import operator
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, islice, repeat
 
 from .errors import require_finite, require_int
@@ -331,7 +332,11 @@ class TrustEntry:
 
 @dataclass(frozen=True)
 class TrustReport:
-    """Per-ECU trust triple plus the network aggregate and provenance."""
+    """Per-ECU trust triple plus the network aggregate and provenance.
+
+    Serializers read the six entry fields as ``_columns``; a report that
+    ``report_from_weights`` built holds only those, and builds ``entries`` when first read.
+    """
 
     entries: tuple[TrustEntry, ...]
     network_trust: float
@@ -342,12 +347,23 @@ class TrustReport:
     iterations: int = 1
     residual: float = 0.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "_columns", tuple(
+            tuple(map(operator.attrgetter(name), self.entries))
+            for name in TrustEntry.__dataclass_fields__))
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: the entries of a report built from columns
+        if name != "entries" or "_columns" not in self.__dict__:
+            raise AttributeError(name)
+        entries = tuple(map(TrustEntry, *self._columns))
+        object.__setattr__(self, "entries", entries)
+        return entries
+
     def to_text(self) -> str:
         lines = [REPORT_HEADER]
-        for e in self.entries:
-            lines.append(
-                f"ecu {e.id} {e.label} {e.epsilon!r} {e.btv!r} {e.trust!r} {e.eatv!r}"
-            )
+        for i, label, epsilon, btv, trust, eatv in zip(*self._columns):
+            lines.append(f"ecu {i} {label} {epsilon!r} {btv!r} {trust!r} {eatv!r}")
         lines.append(f"network_trust {self.network_trust!r}")
         lines.append(params_line(self.params))
         lines.append(f"converged {'true' if self.converged else 'false'}")
@@ -356,25 +372,23 @@ class TrustReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for e in self.entries:
-            lines.append(
-                f"{e.id},{e.label},{e.epsilon!r},{e.btv!r},{e.trust!r},{e.eatv!r}"
-            )
-        return "\n".join(lines) + "\n"
+        ids, labels, epsilons, btv, trust, eatv = self._columns
+        heads = _csv_heads(ids, labels, epsilons, btv, (id(ids), id(epsilons)))
+        return CSV_HEADER + "\n" + "".join([
+            f"{head}{t!r},{a!r}\n" for head, t, a in zip(heads, trust, eatv)])
 
     def to_svg(self) -> str:
         """Grouped-bar chart of BTV, trust and EATV per ECU."""
-        entries = self.entries
+        _, labels, _, btv, trust, eatv = self._columns
         return grouped_bar_svg(
             f"k={self.params.k:g} alpha={self.params.alpha:g}",
-            [e.label for e in entries],
-            [(name, [getattr(e, name) for e in entries]) for name in ("btv", "trust", "eatv")],
+            labels, [("btv", btv), ("trust", trust), ("eatv", eatv)],
         )
 
     def to_json(self) -> str:
         return json_text({
-            "ecus": [vars(e) for e in self.entries],
+            "ecus": [{"id": i, "label": label, "epsilon": e, "btv": b, "trust": t, "eatv": a}
+                     for i, label, e, b, t, a in zip(*self._columns)],
             "network_trust": self.network_trust,
             "params": vars(self.params),
             "converged": self.converged,
@@ -382,7 +396,17 @@ class TrustReport:
         })
 
 
-def _network_trust(entries: tuple[TrustEntry, ...]) -> float:
+@lru_cache(maxsize=4)
+def _csv_heads(ids, labels, epsilons, btv, identity) -> tuple[str, ...]:
+    """Each CSV row's ``id,label,epsilon,btv,`` text, shared by the cells of one alpha.
+
+    ``identity``, the id() of ``ids`` and ``epsilons``, keeps columns that are equal but
+    print apart (0.0 and -0.0, 1 and 1.0) from sharing; the key keeps both tuples alive.
+    """
+    return tuple([f"{i},{l},{e!r},{b!r}," for i, l, e, b in zip(ids, labels, epsilons, btv)])
+
+
+def _network_trust(epsilons, btv, trust) -> float:
     """Resilience-weighted mean of capped per-node trust ratios.
 
     Each node contributes min(T, BTV) / BTV (1.0 when BTV is 0), so the
@@ -391,17 +415,17 @@ def _network_trust(entries: tuple[TrustEntry, ...]) -> float:
     Falls back to the unweighted mean when every epsilon is zero. Each total
     is summed left to right, not by ``sum()``, which compensates on Python 3.12+.
     """
-    if not entries:
+    if not btv:
         return 1.0
     epsilon_sum = weighted_sum = ratio_sum = 0
-    for e in entries:
-        ratio = min(e.trust, e.btv) / e.btv if e.btv > 0 else 1.0
-        epsilon_sum += e.epsilon
-        weighted_sum += e.epsilon * ratio
+    for epsilon, b, t in zip(epsilons, btv, trust):
+        ratio = min(t, b) / b if b > 0 else 1.0
+        epsilon_sum += epsilon
+        weighted_sum += epsilon * ratio
         ratio_sum += ratio
     if epsilon_sum > 0:
         return weighted_sum / epsilon_sum
-    return ratio_sum / len(entries)
+    return ratio_sum / len(btv)
 
 
 def full_report(
@@ -428,13 +452,15 @@ def report_from_weights(
     btv, base_iterations, base_residual = _baseline(cg, params)
     iterations, residual = max(iterations, base_iterations), max(residual, base_residual)
     _warn_unconverged(params, "evaluation", residual)
-    entries = tuple(map(TrustEntry, cg.ids, map(operator.attrgetter("label"), graph.nodes),
-                        cg.epsilons, btv, trust, map(adjusted_trust, btv, trust, cg.epsilons)))
-    return TrustReport(
-        entries=entries,
-        network_trust=_network_trust(entries),
+    trust = tuple(trust)
+    report = TrustReport.__new__(TrustReport)
+    report.__dict__.update(
+        _columns=(cg.ids, tuple(map(operator.attrgetter("label"), graph.nodes)), cg.epsilons,
+                  btv, trust, tuple(map(adjusted_trust, btv, trust, cg.epsilons))),
+        network_trust=_network_trust(cg.epsilons, btv, trust),
         params=params,
         converged=residual < params.tolerance,
         iterations=iterations,
         residual=residual,
     )
+    return report

@@ -278,6 +278,37 @@ class TestEval:
             assert capsys.readouterr().err.endswith(
                 "trustconnect: error: attack references unknown node ids [999]\n")
 
+    def test_a_scenario_whose_values_overflow_exits_2_naming_both(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        graph_path = str(fixture_dir / "reference_graph.txt")
+        reference = (fixture_dir / "reference_scenario.txt").read_text(encoding="utf-8")
+        clean = reference.replace("attack inference-corruption 4.0 1,4,11\n", "")
+        cases = {
+            "noise.txt": (reference.replace("noise_sigma 0.0", "noise_sigma 1e308"),
+                          "non-finite inferred value -inf for edge (1, 3)"),
+            "truth.txt": (clean.replace("truth 1 10.0", "truth 1 1.7e308")
+                          + "attack self-injection 1e308 1\n",
+                          "non-finite observed value inf for node 1"),
+        }
+        for name, (text, message) in cases.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            for command in ("eval", "detect"):
+                assert main([command, "--graph", graph_path, "--scenario-file", str(path)]) == 2
+                assert capsys.readouterr() == ("", (
+                    f"trustconnect: error: {path} does not match {graph_path}: {message}\n"))
+
+    def test_an_inline_noise_sigma_that_overflows_keeps_its_message(self, fixture_dir, capsys):
+        scenario = str(fixture_dir / "reference_scenario.txt")
+        for command in ("eval", "detect"):
+            rc = main([command, "--graph", str(fixture_dir / "reference_graph.txt"),
+                       "--scenario-file", scenario, "--noise-sigma", "1e308"])
+            assert rc == 2
+            assert capsys.readouterr() == ("", (
+                f"warning: inline scenario flags override {scenario}: --noise-sigma\n"
+                "trustconnect: error: non-finite inferred value -inf for edge (1, 3)\n"))
+
     def test_attack_mode_without_attack_exits_2(self, fixture_dir, capsys):
         rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
                    "--attack-mode", "self-injection"])

@@ -40,6 +40,7 @@ from trustconnect.experiment import (
     save_sweep_spec,
     sweep_spec_to_text,
 )
+import trustconnect.trust as trust_module
 from trustconnect.trust import MODES, TrustParams, full_report
 
 # Fingerprints of the committed fixture files; a change here is a
@@ -424,6 +425,15 @@ class TestEmitFigureData:
             assert float(fields[3]) == entry.btv
             assert float(fields[4]) == entry.trust
             assert float(fields[5]) == entry.eatv
+
+    def test_a_sweep_builds_no_entries_and_four_csv_heads(self, tmp_path):
+        # cells run k-major, so each alpha's heads are built once and hit by the next three k
+        trust_module._csv_heads.cache_clear()
+        result = run_sweep_on(*reference_fixture())
+        emit_figure_data(result, tmp_path)
+        info = trust_module._csv_heads.cache_info()
+        assert (info.misses, info.hits) == (4, 12)
+        assert not any("entries" in vars(report) for report in result.reports.values())
 
     def test_byte_identical_across_runs(self, tmp_path):
         graph, scenario = reference_fixture()

@@ -627,6 +627,51 @@ class TestReportSerialization:
         assert a.to_json() == b.to_json()
 
 
+SERIALIZERS = ("to_text", "to_csv", "to_json", "to_svg")
+
+
+class TestReportColumns:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=9),
+        mode=st.sampled_from(MODES),
+        alpha=st.sampled_from([0.0, 0.05, 0.2, 0.9]),
+    )
+    def test_a_report_from_columns_is_the_report_from_its_entries(self, seed, n, mode, alpha):
+        graph = generate_random(n=n, edge_probability=0.35, seed=seed)
+        snapshot = synthesize_snapshot(graph, ScenarioSpec(
+            ground_truth=constant_ground_truth(graph, 4.0), noise_sigma=0.7,
+            attack=AttackSpec(compromised=frozenset({seed % n}), mode="both"), seed=seed))
+        params = TrustParams(k=1.0, alpha=alpha, mode=mode, max_iterations=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            report, other = (full_report(graph, snapshot, params) for _ in range(2))
+        texts = [getattr(report, name)() for name in SERIALIZERS]
+        clones = [pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)]
+        assert "entries" not in vars(report)
+        twin = TrustReport(
+            entries=other.entries, network_trust=report.network_trust, params=report.params,
+            converged=report.converged, iterations=report.iterations, residual=report.residual)
+        assert [getattr(twin, name)() for name in SERIALIZERS] == texts
+        for clone in clones:
+            assert "entries" not in vars(clone)
+            assert [getattr(clone, name)() for name in SERIALIZERS] == texts
+        assert report == twin and hash(report) == hash(twin)
+        assert "entries" in vars(report)
+        for clone in (*clones, replace(report), pickle.loads(pickle.dumps(twin)), copy.copy(twin)):
+            assert clone == twin
+            assert [getattr(clone, name)() for name in SERIALIZERS] == texts
+
+    def test_csv_heads_of_columns_that_are_equal_but_print_apart_do_not_mix(self):
+        csvs = []
+        for epsilon in (0.0, -0.0, 1, 1.0):
+            graph = build([(0, epsilon), (1, 0.5)], [(0, 1), (1, 0)])
+            snapshot = exact_snapshot(graph, {0: 1.0, 1: 1.0})
+            csvs.append(full_report(graph, snapshot, TrustParams(k=1.0, alpha=0.1)).to_csv())
+        assert [csv.splitlines()[1].split(",")[2] for csv in csvs] == ["0.0", "-0.0", "1", "1.0"]
+
+
 # quotes, backslashes, braces, separators, control and non-ASCII characters
 json_strings = st.text(
     alphabet=st.sampled_from('"\\{}[],: \n\t\x00\x1fé \U0001f600') | st.characters(),
