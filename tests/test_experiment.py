@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import trustconnect.trust as trust_module
 from trustconnect.errors import ParseError
 from trustconnect.graph import (
     DependencyGraph,
@@ -40,7 +41,6 @@ from trustconnect.experiment import (
     save_sweep_spec,
     sweep_spec_to_text,
 )
-import trustconnect.trust as trust_module
 from trustconnect.trust import MODES, TrustParams, full_report
 
 # Fingerprints of the committed fixture files; a change here is a
