@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .detector import DetectorParams, detect
-from .errors import SnapshotMismatchError, TrustConnectError
+from .errors import SnapshotMismatchError, TrustConnectError, write_text
 from .experiment import (
     emit_figure_data,
     load_sweep_spec,
@@ -111,25 +111,20 @@ def _load_inputs(args):
     """The graph and snapshot that eval and detect read: (graph, snapshot)."""
     graph = load_graph(args.graph)
     inline = [name for name in _SCENARIO_FLAGS if getattr(args, name) is not None]
-    if args.snapshot is None:
-        scenario = _build_scenario(args, graph, inline)
-        try:
-            return graph, synthesize_snapshot(graph, scenario)
-        except (ValueError, SnapshotMismatchError) as exc:
-            # an id inline flags did not set, or an overflow without inline noise, is the file's
-            if (args.scenario_file is None
-                    or args.attack_nodes is not None and str(exc).startswith("attack")
-                    or args.noise_sigma is not None and isinstance(exc, SnapshotMismatchError)):
-                raise
-            raise ValueError(
-                f"{args.scenario_file} does not match {args.graph}: {exc}") from None
-    if args.scenario_file is not None or inline:
+    if args.snapshot is not None and (args.scenario_file is not None or inline):
         raise ValueError("--snapshot and scenario flags are mutually exclusive")
+    scenario = None if args.snapshot is not None else _build_scenario(args, graph, inline)
+    source = args.snapshot if scenario is None else args.scenario_file
     try:
-        return graph, load_snapshot(args.snapshot, graph)
-    except SnapshotMismatchError as exc:
-        raise SnapshotMismatchError(
-            f"{args.snapshot} does not match {args.graph}: {exc}") from None
+        return graph, (load_snapshot(args.snapshot, graph) if scenario is None
+                       else synthesize_snapshot(graph, scenario))
+    except (ValueError, SnapshotMismatchError) as exc:
+        # an id inline flags did not set, or an overflow without inline noise, is the file's
+        if (source is None
+                or args.attack_nodes is not None and str(exc).startswith("attack")
+                or args.noise_sigma is not None and isinstance(exc, SnapshotMismatchError)):
+            raise
+        raise ValueError(f"{source} does not match {args.graph}: {exc}") from None
 
 
 def _emit(report, args) -> None:
@@ -137,7 +132,7 @@ def _emit(report, args) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        write_text(args.out, text)
 
 
 def cmd_generate(args) -> int:
@@ -162,13 +157,17 @@ def cmd_eval(args) -> int:
     svg = None if args.svg is None else report.to_svg()  # a refused chart writes nothing
     _emit(report, args)
     if svg is not None:
-        Path(args.svg).write_text(svg, encoding="utf-8", newline="\n")
+        write_text(args.svg, svg)
     return 0
 
 
 def cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
-    result = run_sweep(spec)
+    try:
+        result = run_sweep(spec)
+    except (ValueError, SnapshotMismatchError) as exc:
+        # the graph's own errors name it; the rest come from the spec's scenario or grid
+        raise ValueError(f"{args.spec}: {exc}") from None
     written = emit_figure_data(result, args.output_dir)
     print(f"wrote {len(written)} files to {args.output_dir}")
     return 0

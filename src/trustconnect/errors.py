@@ -83,6 +83,11 @@ def read_text(path) -> str:
         raise ParseError(message, str(path), line_no) from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8, each line ending in ``\\n``."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 LIST, SINGLE, ID = "list", "single", "id"
 
 

@@ -40,7 +40,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import (SINGLE, ParseError, finite_float, is_one_field, read_records, read_text,
-                     require_finite, require_int)
+                     require_finite, require_int, write_text)
 from .graph import (
     DependencyGraph,
     EpsilonDistribution,
@@ -89,7 +89,9 @@ class RandomGraphSpec:
         require_int("seed", self.seed)
 
 
-def _check_grid_axis(name, values):
+def _check_grid_axis(name, values) -> tuple[float, ...]:
+    """``values`` as a tuple, once it is a nonempty, finite, non-negative, ascending axis."""
+    values = tuple(values)
     if not values:
         raise ValueError(f"{name} must be nonempty")
     if not all(math.isfinite(v) for v in values):
@@ -98,6 +100,7 @@ def _check_grid_axis(name, values):
         raise ValueError(f"{name} must be >= 0, got {list(values)}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly ascending, got {list(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,6 @@ class SweepSpec:
     mode: str = "single-pass"
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "alpha_values", tuple(self.alpha_values))
         object.__setattr__(self, "truth_overrides", tuple(self.truth_overrides))
         if (self.graph_file is None) == (self.graph_random is None):
             raise ValueError("exactly one of graph_file and graph_random is required")
@@ -130,8 +131,8 @@ class SweepSpec:
         require_int("scenario_seed", self.scenario_seed)
         check_ground_truth(self.truth_overrides)
         check_noise_sigma(self.noise_sigma)
-        _check_grid_axis("k_values", self.k_values)
-        _check_grid_axis("alpha_values", self.alpha_values)
+        for axis in ("k_values", "alpha_values"):
+            object.__setattr__(self, axis, _check_grid_axis(axis, getattr(self, axis)))
         check_mode(self.mode)
 
 
@@ -159,10 +160,8 @@ def run_sweep_on(
     mode: str = "single-pass",
 ) -> SweepResult:
     """Evaluate every (k, alpha) cell on one shared snapshot."""
-    k_values = tuple(k_values)
-    alpha_values = tuple(alpha_values)
-    _check_grid_axis("k_values", k_values)
-    _check_grid_axis("alpha_values", alpha_values)
+    k_values = _check_grid_axis("k_values", k_values)
+    alpha_values = _check_grid_axis("alpha_values", alpha_values)
     snapshot = synthesize_snapshot(graph, scenario)
     devs = deviations(graph, snapshot)
     reports = {}
@@ -249,12 +248,6 @@ def _random_graph_spec(fields: list[str]) -> RandomGraphSpec:
     )
 
 
-def _grid_axis(fields: list[str]) -> tuple[float, ...]:
-    values = tuple(finite_float(v) for v in fields[1].split(","))
-    _check_grid_axis(fields[0], values)
-    return values
-
-
 SWEEP_RECORDS = {
     "graph_file": ("<path>", lambda f: f[1], SINGLE),
     "graph_random": ("n=<int> p=<float> [seed=<int>] [epsilon=<spec>]",
@@ -264,8 +257,10 @@ SWEEP_RECORDS = {
     "noise_sigma": SCENARIO_RECORDS["noise_sigma"],
     "scenario_seed": SCENARIO_RECORDS["seed"],
     "attack": SCENARIO_RECORDS["attack"],
-    "k_values": ("<v,v,...>", _grid_axis, SINGLE),
-    "alpha_values": ("<v,v,...>", _grid_axis, SINGLE),
+    # either axis record converts to the checked axis its kind names
+    **dict.fromkeys(("k_values", "alpha_values"), (
+        "<v,v,...>", lambda f: _check_grid_axis(f[0], map(finite_float, f[1].split(","))),
+        SINGLE)),
     "mode": ("<single-pass|fixed-point>", lambda f: check_mode(f[1]), SINGLE),
 }
 
@@ -292,7 +287,7 @@ def load_sweep_spec(path) -> SweepSpec:
 
 
 def save_sweep_spec(spec: SweepSpec, path) -> None:
-    Path(path).write_text(sweep_spec_to_text(spec), encoding="utf-8", newline="\n")
+    write_text(path, sweep_spec_to_text(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +411,13 @@ def emit_figure_data(result: SweepResult, out_dir) -> list[Path]:
         report = result.reports[(k, alpha)]
         csv_path = out_dir / f"{stem}.csv"
         svg_path = out_dir / f"{stem}.svg"
-        csv_path.write_text(report.to_csv(), encoding="utf-8", newline="\n")
-        svg_path.write_text(report.to_svg(), encoding="utf-8", newline="\n")
+        write_text(csv_path, report.to_csv())
+        write_text(svg_path, report.to_svg())
         written.extend([csv_path, svg_path])
         manifest_lines.append(
             f"cell k={k:g} alpha={alpha:g} csv={csv_path.name} svg={svg_path.name}"
         )
     manifest_path = out_dir / "manifest.txt"
-    manifest_path.write_text(
-        "\n".join(manifest_lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_text(manifest_path, "\n".join(manifest_lines) + "\n")
     written.append(manifest_path)
     return written

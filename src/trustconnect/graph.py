@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, pairwise, repeat, starmap
 from operator import add, eq, itemgetter, lt, sub
-from pathlib import Path
 
 from .errors import (
     LIST, GraphInvariantError, is_one_field, read_columns, read_records, read_text, require_int,
-    split_lines,
+    split_lines, write_text,
 )
 
 GRAPH_HEADER = "trustconnect-graph v1"
@@ -48,8 +47,33 @@ class EcuNode:
     epsilon: float
 
 
+class _Derived:
+    """Base of a frozen dataclass whose instances may hold one field in another form.
+
+    The subclass names the rule in ``_derived = (field, marker, build)``: an
+    instance whose ``__dict__`` holds ``marker`` but not ``field`` builds the
+    field as ``build(instance)`` when it is first read, and keeps it.
+    """
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute
+        derived, marker, build = self._derived
+        if name != derived or marker not in self.__dict__:
+            raise AttributeError(name)
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
+
+    @classmethod
+    def _of(cls, **attributes):
+        """The instance holding ``attributes``, made without ``__init__`` or its checks."""
+        instance = cls.__new__(cls)
+        instance.__dict__.update(attributes)
+        return instance
+
+
 @dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(_Derived):
     """Immutable directed graph of EcuNodes.
 
     Construction canonicalizes ordering (nodes by id, edges lexicographic)
@@ -60,6 +84,7 @@ class DependencyGraph:
 
     nodes: tuple[EcuNode, ...]
     edges: tuple[tuple[int, int], ...]
+    _derived = ("edges", "compiled", lambda graph: tuple(graph.compiled.id_pairs()))
 
     def __post_init__(self):
         object.__setattr__(
@@ -68,15 +93,6 @@ class DependencyGraph:
         object.__setattr__(
             self, "edges", tuple(sorted((int(i), int(j)) for i, j in self.edges))
         )
-
-    def __getattr__(self, name):
-        # reached only for a missing attribute: the edges of a bulk-read graph
-        if name != "edges" or "compiled" not in self.__dict__:
-            raise AttributeError(name)
-        cg = self.compiled
-        edges = tuple(zip(cg.sources_of(cg.ids), map(cg.ids.__getitem__, cg.dst)))
-        object.__setattr__(self, "edges", edges)
-        return edges
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -114,6 +130,10 @@ class CompiledGraph:
     def sources_of(self, values: Iterable) -> Iterator:
         """Per edge, in edge order, the entry of ``values`` (one per node) for its source."""
         return chain.from_iterable(map(repeat, values, map(sub, self.offsets[1:], self.offsets)))
+
+    def id_pairs(self) -> Iterator[tuple[int, int]]:
+        """Per edge, in edge order, its (source id, target id)."""
+        return zip(self.sources_of(self.ids), map(self.ids.__getitem__, self.dst))
 
 
 def _compile(graph: DependencyGraph) -> CompiledGraph:
@@ -326,11 +346,10 @@ def _read_canonical(text: str) -> DependencyGraph | None:
             and all(starmap(lt, pairwise(keys)))
             and not any(map(eq, sources, targets)) and _nodes_valid(nodes)):
         return None
-    graph = DependencyGraph.__new__(DependencyGraph)  # proved canonical: no __post_init__
     offsets = (*map(bisect_left, repeat(sources), range(len(ids))), len(sources))
-    graph.__dict__.update(nodes=nodes, compiled=CompiledGraph(
+    # proved canonical: no __post_init__
+    return DependencyGraph._of(nodes=nodes, compiled=CompiledGraph(
         tuple(ids), tuple(epsilons), offsets, tuple(targets)))
-    return graph
 
 
 def _read_records(text: str, path: str | None) -> DependencyGraph:
@@ -344,7 +363,7 @@ def _read_records(text: str, path: str | None) -> DependencyGraph:
 
 
 def save_graph(graph: DependencyGraph, path) -> None:
-    Path(path).write_text(to_text(graph), encoding="utf-8", newline="\n")
+    write_text(path, to_text(graph))
 
 
 def load_graph(path) -> DependencyGraph:

@@ -36,13 +36,12 @@ import random
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import sub
-from pathlib import Path
 
 from .errors import (
     ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records, read_text,
-    require_finite, require_int, split_lines,
+    require_finite, require_int, split_lines, write_text,
 )
-from .graph import DependencyGraph
+from .graph import DependencyGraph, _Derived
 
 SNAPSHOT_HEADER = "trustconnect-snapshot v1"
 SNAPSHOT_RECORDS = {
@@ -55,7 +54,7 @@ ATTACK_MODES = ("self-injection", "inference-corruption", "both")
 
 
 @dataclass(frozen=True)
-class Snapshot:
+class Snapshot(_Derived):
     """Observed per-node values plus inferred per-edge values.
 
     A snapshot read in bulk or synthesized for a graph holds its inferred
@@ -65,22 +64,7 @@ class Snapshot:
 
     observed: dict[int, float]
     inferred: dict[tuple[int, int], float]
-
-    def __getattr__(self, name):
-        # reached only for a missing attribute: the inferred dict of a column
-        if name != "inferred" or "_graph" not in self.__dict__:
-            raise AttributeError(name)
-        inferred = dict(zip(self._graph.edges, self._column))
-        object.__setattr__(self, "inferred", inferred)
-        return inferred
-
-
-def _column_snapshot(graph: DependencyGraph, observed: dict[int, float],
-                     column: list[float]) -> Snapshot:
-    """The snapshot of ``observed`` and the inferred ``column`` in ``graph.edges`` order."""
-    snapshot = Snapshot.__new__(Snapshot)
-    snapshot.__dict__.update(observed=observed, _graph=graph, _column=column)
-    return snapshot
+    _derived = ("inferred", "_graph", lambda snap: dict(zip(snap._graph.edges, snap._column)))
 
 
 @dataclass(frozen=True)
@@ -209,13 +193,12 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
 
     rng = random.Random(scenario.seed)
     column: list[float] = []
-    cg = graph.compiled
-    for i, j in zip(cg.sources_of(cg.ids), map(cg.ids.__getitem__, cg.dst)):
+    for i, j in graph.compiled.id_pairs():
         value = scenario.ground_truth[i] + rng.gauss(0.0, scenario.noise_sigma)
         if attack is not None and attack.corrupts_inferred and j in attack.compromised:
             value += attack.delta
         column.append(value)
-    snapshot = _column_snapshot(graph, observed, column)
+    snapshot = Snapshot._of(observed=observed, _graph=graph, _column=column)
     if not math.isfinite(sum(map(abs, observed.values())) + sum(map(abs, column))):
         _check_edges(graph, snapshot)
     return snapshot
@@ -333,11 +316,11 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
     if (not inf or len(obs[0]) + len(inf[0]) != len(ids) + len(compiled.dst)
             or not math.isfinite(sum(obs[0]) + sum(inf[0]))):
         return None
-    return _column_snapshot(graph, dict(zip(compiled.ids, obs[0])), inf[0])
+    return Snapshot._of(observed=dict(zip(compiled.ids, obs[0])), _graph=graph, _column=inf[0])
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    Path(path).write_text(to_text(snapshot), encoding="utf-8", newline="\n")
+    write_text(path, to_text(snapshot))
 
 
 def load_snapshot(path, graph: DependencyGraph | None = None) -> Snapshot:
@@ -361,7 +344,7 @@ def scenario_from_text(text: str, path: str | None = None) -> ScenarioSpec:
 
 
 def save_scenario(scenario: ScenarioSpec, path) -> None:
-    Path(path).write_text(scenario_to_text(scenario), encoding="utf-8", newline="\n")
+    write_text(path, scenario_to_text(scenario))
 
 
 def load_scenario(path) -> ScenarioSpec:

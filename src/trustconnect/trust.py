@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import chain, islice, repeat
 
 from .errors import require_finite, require_int
-from .graph import CompiledGraph, DependencyGraph
+from .graph import CompiledGraph, DependencyGraph, _Derived
 from .snapshot import Snapshot, deviations
 from .svgchart import grouped_bar_svg
 
@@ -331,7 +331,7 @@ class TrustEntry:
 
 
 @dataclass(frozen=True)
-class TrustReport:
+class TrustReport(_Derived):
     """Per-ECU trust triple plus the network aggregate and provenance.
 
     Serializers read the six entry fields as ``_columns``; a report that
@@ -346,19 +346,12 @@ class TrustReport:
     # the larger of trust's and baseline's (see _propagate); no serializer lists them
     iterations: int = 1
     residual: float = 0.0
+    _derived = ("entries", "_columns", lambda report: tuple(map(TrustEntry, *report._columns)))
 
     def __post_init__(self):
         object.__setattr__(self, "_columns", tuple(
             tuple(map(operator.attrgetter(name), self.entries))
             for name in TrustEntry.__dataclass_fields__))
-
-    def __getattr__(self, name):
-        # reached only for a missing attribute: the entries of a report built from columns
-        if name != "entries" or "_columns" not in self.__dict__:
-            raise AttributeError(name)
-        entries = tuple(map(TrustEntry, *self._columns))
-        object.__setattr__(self, "entries", entries)
-        return entries
 
     def to_text(self) -> str:
         lines = [REPORT_HEADER]
@@ -453,8 +446,7 @@ def report_from_weights(
     iterations, residual = max(iterations, base_iterations), max(residual, base_residual)
     _warn_unconverged(params, "evaluation", residual)
     trust = tuple(trust)
-    report = TrustReport.__new__(TrustReport)
-    report.__dict__.update(
+    return TrustReport._of(
         _columns=(cg.ids, tuple(map(operator.attrgetter("label"), graph.nodes)), cg.epsilons,
                   btv, trust, tuple(map(adjusted_trust, btv, trust, cg.epsilons))),
         network_trust=_network_trust(cg.epsilons, btv, trust),
@@ -463,4 +455,3 @@ def report_from_weights(
         iterations=iterations,
         residual=residual,
     )
-    return report

@@ -173,3 +173,13 @@ def test_src_statements_moves_only_when_a_statement_goes(tmp_path, edit, change)
     (package / "b.py").write_text("class Empty:\n    'a class docstring'\n    pass\n")
     # a.py: the def, the assignment and the return; b.py: the class and its pass
     assert bench_pairs.src_statements(tmp_path) == 5 + change
+
+
+# The most statements and lines src/trustconnect may hold. A change that must grow
+# either raises it here in the same diff and says why in CHANGES.md.
+MAX_SRC_STATEMENTS, MAX_SRC_LINES = 1143, 2426
+
+
+def test_the_package_is_no_larger_than_its_ratchet():
+    assert bench_pairs.src_statements(bench_pairs.ROOT) <= MAX_SRC_STATEMENTS
+    assert bench_pairs.src_lines(bench_pairs.ROOT) <= MAX_SRC_LINES

@@ -390,6 +390,24 @@ class TestSweep:
         assert "k=0.1 alpha=0.05 and k=0.1000001 alpha=0.05" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_an_error_in_the_specs_scenario_exits_2_naming_the_spec(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        reference = (fixture_dir / "reference_sweep.txt").read_text(encoding="utf-8")
+        cases = {
+            "ids.txt": (reference.replace(" 1,4,11\n", " 1,99\n"),
+                        "attack references unknown node ids [99]"),
+            "noise.txt": (reference.replace("noise_sigma 0.0", "noise_sigma 1e308"),
+                          "non-finite inferred value -inf for edge (1, 3)"),
+        }
+        out_dir = tmp_path / "cells"
+        for name, (text, message) in cases.items():
+            path = fixture_dir / name
+            path.write_text(text, encoding="utf-8")
+            assert main(["sweep", str(path), "--output-dir", str(out_dir)]) == 2
+            assert capsys.readouterr() == ("", f"trustconnect: error: {path}: {message}\n")
+            assert not out_dir.exists()
+
     def test_missing_spec_file_exits_1(self, tmp_path, capsys):
         rc = main(["sweep", str(tmp_path / "absent.txt"),
                    "--output-dir", str(tmp_path)])
@@ -783,8 +801,8 @@ def _no_constant(name):
 @settings(max_examples=400, deadline=None)
 @given(fuzz_runs())
 def test_a_mutated_fixture_file_never_gives_a_traceback(run):
-    """Exit 0 with a finite report, 2 with an error, or 1 with an I/O error
-    (a mutated ``graph_file`` path); a raise would escape ``main``."""
+    """Exit 0 with a finite report, 2 with an error naming the mutated file, or 1
+    with an I/O error (a mutated ``graph_file`` path); a raise would escape ``main``."""
     argv, name, text = run
     with tempfile.TemporaryDirectory() as tmp:
         root, files = Path(tmp), _fuzz_files()
@@ -800,6 +818,7 @@ def test_a_mutated_fixture_file_never_gives_a_traceback(run):
     elif code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("trustconnect: error: "), err.getvalue()
+        assert str(root / name) in err.getvalue(), err.getvalue()
     else:
         assert code == 0, err.getvalue()
         if argv[0] != "sweep":

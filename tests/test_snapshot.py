@@ -245,6 +245,28 @@ def test_scenario_eval_and_detect_of_a_bulk_read_graph_build_no_edges():
     assert [value.hex() for value in snap._column] == [value.hex() for value in expected]
 
 
+def _derived_field_holders():
+    """A bulk-read graph, a column snapshot and a report from columns, each without its field."""
+    graph, scenario = reference_fixture()
+    snap = synthesize_snapshot(graph, scenario)
+    report = full_report(graph, snap, TrustParams(k=1.0, alpha=0.1))
+    return {"graph": (graph, "edges"), "snapshot": (snap, "inferred"),
+            "report": (report, "entries")}
+
+
+@pytest.mark.parametrize("holder", ["graph", "snapshot", "report"])
+def test_a_derived_field_is_built_on_first_read_and_kept(holder):
+    instance, name = _derived_field_holders()[holder]
+    assert name not in vars(instance)
+    with pytest.raises(AttributeError, match="no_such_field"):
+        instance.no_such_field
+    assert not hasattr(instance, "_no_such_marker")
+    assert name not in vars(instance)  # another name builds nothing
+    value = getattr(instance, name)
+    assert vars(instance)[name] is value
+    assert getattr(instance, name) is value
+
+
 def test_synthesized_column_gives_the_lookup_deviations_bit_for_bit(graph):
     attack = AttackSpec(compromised={1, 2}, mode="both", delta=0.7)
     snap = synthesize_snapshot(graph, clean_scenario(graph, noise_sigma=0.4, attack=attack, seed=3))
