@@ -12,12 +12,15 @@ A node is flagged when its evidence meets or exceeds
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import attrgetter, ge, itemgetter, lt, neg
 
 from .graph import DependencyGraph
 from .errors import require_finite
-from .snapshot import Snapshot, deviations
-from .trust import TrustParams, edge_weights, json_text, params_line
+from .snapshot import Snapshot
+from .trust import TrustParams, _EntryColumns, _snapshot_weights, json_text, params_line
 
 DETECTION_HEADER = "trustconnect-detection v1"
 DETECTION_CSV_HEADER = "id,evidence,flagged"
@@ -50,40 +53,39 @@ class DetectionEntry:
 
 
 @dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(_EntryColumns):
     """Per-node contradiction evidence plus a deterministic ranking."""
 
     entries: tuple[DetectionEntry, ...]
     ranking: tuple[int, ...]
     params: DetectorParams
+    _entry = DetectionEntry
 
     def flagged_ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.entries if e.flagged)
+        return tuple(compress(self._columns[0], self._columns[3]))
 
-    def _ranked_entries(self) -> list[DetectionEntry]:
-        by_id = {e.id: e for e in self.entries}
-        return [by_id[i] for i in self.ranking]
+    def _ranked_rows(self):
+        return map(dict(zip(self._columns[0], zip(*self._columns))).__getitem__, self.ranking)
 
     def to_text(self) -> str:
         lines = [DETECTION_HEADER]
-        for e in self._ranked_entries():
-            mark = "FLAGGED" if e.flagged else "ok"
-            neighbors = ",".join(str(j) for j in e.contradicting_neighbors) or "-"
-            lines.append(
-                f"ecu {e.id} {e.label} evidence={e.evidence!r} {mark} contradicted_by={neighbors}"
-            )
+        for i, label, evidence, flagged, neighbors in self._ranked_rows():
+            mark = "FLAGGED" if flagged else "ok"
+            lines.append(f"ecu {i} {label} evidence={evidence!r} {mark} "
+                         f"contradicted_by={','.join(map(str, neighbors)) or '-'}")
         lines.append(params_line(self.params))
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         lines = [DETECTION_CSV_HEADER]
-        for e in self._ranked_entries():
-            lines.append(f"{e.id},{e.evidence!r},{'true' if e.flagged else 'false'}")
+        for i, _, evidence, flagged, _ in self._ranked_rows():
+            lines.append(f"{i},{evidence!r},{'true' if flagged else 'false'}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json_text({
-            "ecus": [vars(e) for e in self.entries],
+            "ecus": [dict(zip(DetectionEntry.__dataclass_fields__, row))
+                     for row in zip(*self._columns)],
             "ranking": self.ranking,
             "params": vars(self.params),
         })
@@ -103,25 +105,17 @@ def detect(
     """
     det_params = det_params or DetectorParams()
     cg = graph.compiled
-    weights = edge_weights(deviations(graph, snapshot), trust_params.k)
-    entries = []
-    for node, start, stop in zip(graph.nodes, cg.offsets, cg.offsets[1:]):
-        contradicting = []
-        evidence = 0.0
-        for e in range(start, stop):
-            if weights[e] < det_params.weight_threshold:
-                contradicting.append(cg.ids[cg.dst[e]])
-                evidence += cg.epsilons[cg.dst[e]]
-        entries.append(
-            DetectionEntry(
-                id=node.id,
-                label=node.label,
-                evidence=evidence,
-                flagged=evidence >= det_params.evidence_threshold,
-                contradicting_neighbors=tuple(contradicting),
-            )
-        )
-    ranking = tuple(
-        e.id for e in sorted(entries, key=lambda e: (-e.evidence, e.id))
+    weights = _snapshot_weights(graph, snapshot, trust_params.k)
+    evidence, neighbors = [0.0] * len(cg.ids), [()] * len(cg.ids)
+    # the contradictions in edge order, so each node's evidence is summed left to right
+    for e in compress(count(), map(lt, weights, repeat(det_params.weight_threshold))):
+        i, j = bisect_right(cg.offsets, e) - 1, cg.dst[e]
+        evidence[i] += cg.epsilons[j]
+        neighbors[i] += (cg.ids[j],)
+    return DetectionReport._of(
+        _columns=(cg.ids, tuple(map(attrgetter("label"), graph.nodes)), tuple(evidence),
+                  tuple(map(ge, evidence, repeat(det_params.evidence_threshold))),
+                  tuple(neighbors)),
+        ranking=tuple(map(itemgetter(1), sorted(zip(map(neg, evidence), cg.ids)))),
+        params=det_params,
     )
-    return DetectionReport(entries=tuple(entries), ranking=ranking, params=det_params)

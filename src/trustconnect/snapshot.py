@@ -59,7 +59,8 @@ class Snapshot(_Derived):
 
     A snapshot read in bulk or synthesized for a graph holds its inferred
     values as a column in that graph's edge order, with the graph; the
-    ``inferred`` dict is built from the column when it is first read.
+    ``inferred`` dict is built from the column when it is first read. A snapshot is a
+    value: trust keeps its edge weights on it for one (graph, k) as ``_weights``.
     """
 
     observed: dict[int, float]

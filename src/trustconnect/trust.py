@@ -41,7 +41,7 @@ import operator
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 
 from .errors import require_finite, require_int
@@ -98,6 +98,16 @@ def edge_weights(devs: Iterable[float], k: float) -> list[float]:
     """
     exp = math.exp
     return [exp(-k * d) for d in devs]
+
+
+def _snapshot_weights(graph: DependencyGraph, snapshot: Snapshot, k: float) -> list[float]:
+    """``edge_weights(deviations(graph, snapshot), k)``, kept on the snapshot for one (graph, k):
+    a report and a detection of one snapshot share the list, and it is freed with them."""
+    memo = vars(snapshot).get("_weights")
+    if memo is None or memo[0] is not graph or memo[1] != k:
+        memo = (graph, k, edge_weights(deviations(graph, snapshot), k))
+        object.__setattr__(snapshot, "_weights", memo)
+    return memo[2]
 
 
 # The generated row kernels' bounds; README, "How evaluation runs", has their measurements.
@@ -163,7 +173,8 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
     ``products[j] + weight``, one product epsilon[j] * alpha * C(j) per node, by the row
     kernels (see ``_row_kernels``) or else the loop, whose iterations count towards
     building them, until the residual, the max-norm change of the last iterate, is below
-    the tolerance.
+    the tolerance. It is taken only where no change reaches the tolerance, and on the last
+    iterate: elsewhere it, or the NaN ``max`` keeps, is not below it, nor is the kept ``change``.
     """
     offsets = cg.offsets
     factors = [epsilon * params.alpha for epsilon in cg.epsilons]
@@ -183,6 +194,7 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
             rows = [terms[a:b] for a, b in zip(offsets, offsets[1:])]
         else:
             weights = list(weights)
+        reaches, change = partial(operator.le, params.tolerance), math.inf
         for iterations in range(1, params.max_iterations + 1):
             products = list(map(operator.mul, factors, scores))
             nxt = []
@@ -195,7 +207,9 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
             else:
                 for kernel in kernels:
                     nxt += kernel(products, weights)
-            change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
+            if iterations == params.max_iterations or not any(
+                    map(reaches, map(abs, map(operator.sub, nxt, scores)))):
+                change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
             scores = nxt
             if change < params.tolerance:
                 break
@@ -240,8 +254,7 @@ def trust_scores(
 ) -> dict[int, float]:
     """Per-node trust score for one snapshot; warns on non-convergence."""
     cg = graph.compiled
-    weights = edge_weights(deviations(graph, snapshot), params.k)
-    scores, _, residual = _propagate(cg, weights, params)
+    scores, _, residual = _propagate(cg, _snapshot_weights(graph, snapshot, params.k), params)
     _warn_unconverged(params, "evaluation", residual)
     return dict(zip(cg.ids, scores))
 
@@ -330,13 +343,20 @@ class TrustEntry:
     eatv: float
 
 
-@dataclass(frozen=True)
-class TrustReport(_Derived):
-    """Per-ECU trust triple plus the network aggregate and provenance.
+class _EntryColumns(_Derived):
+    """Base of a frozen report whose serializers read ``_columns``, a tuple per ``_entry`` field."""
 
-    Serializers read the six entry fields as ``_columns``; a report that
-    ``report_from_weights`` built holds only those, and builds ``entries`` when first read.
-    """
+    _derived = ("entries", "_columns", lambda report: tuple(map(report._entry, *report._columns)))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_columns", tuple(
+            tuple(map(operator.attrgetter(name), self.entries))
+            for name in self._entry.__dataclass_fields__))
+
+
+@dataclass(frozen=True)
+class TrustReport(_EntryColumns):
+    """Per-ECU trust triple plus the network aggregate and provenance."""
 
     entries: tuple[TrustEntry, ...]
     network_trust: float
@@ -346,12 +366,7 @@ class TrustReport(_Derived):
     # the larger of trust's and baseline's (see _propagate); no serializer lists them
     iterations: int = 1
     residual: float = 0.0
-    _derived = ("entries", "_columns", lambda report: tuple(map(TrustEntry, *report._columns)))
-
-    def __post_init__(self):
-        object.__setattr__(self, "_columns", tuple(
-            tuple(map(operator.attrgetter(name), self.entries))
-            for name in TrustEntry.__dataclass_fields__))
+    _entry = TrustEntry
 
     def to_text(self) -> str:
         lines = [REPORT_HEADER]
@@ -427,7 +442,7 @@ def full_report(
     params: TrustParams,
 ) -> TrustReport:
     """Assemble baseline, trust, and adjusted trust for every node."""
-    return report_from_weights(graph, edge_weights(deviations(graph, snapshot), params.k), params)
+    return report_from_weights(graph, _snapshot_weights(graph, snapshot, params.k), params)
 
 
 def report_from_weights(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,10 @@ from trustconnect.snapshot import (
     ScenarioSpec,
     Snapshot,
     constant_ground_truth,
+    deviations,
     synthesize_snapshot,
 )
-from trustconnect.trust import TrustParams, full_report
+from trustconnect.trust import TrustParams, edge_weights, full_report
 
 PARAMS = TrustParams(k=1.0, alpha=0.1)
 
@@ -236,6 +238,60 @@ class TestSerialization:
         assert a.to_text() == b.to_text()
         assert a.to_csv() == b.to_csv()
         assert a.to_json() == b.to_json()
+
+
+def loop_detection(graph, snapshot, k, det_params):
+    """The per-edge loop that built a report's entries before it kept columns: (entries, ranking)."""
+    cg = graph.compiled
+    weights = edge_weights(deviations(graph, snapshot), k)
+    entries = []
+    for node, start, stop in zip(graph.nodes, cg.offsets, cg.offsets[1:]):
+        contradicting, evidence = [], 0.0
+        for e in range(start, stop):
+            if weights[e] < det_params.weight_threshold:
+                contradicting.append(cg.ids[cg.dst[e]])
+                evidence += cg.epsilons[cg.dst[e]]
+        entries.append(DetectionEntry(node.id, node.label, evidence,
+                                      evidence >= det_params.evidence_threshold,
+                                      tuple(contradicting)))
+    return tuple(entries), tuple(e.id for e in sorted(entries, key=lambda e: (-e.evidence, e.id)))
+
+
+def outputs(report):
+    return report.to_text(), report.to_csv(), report.to_json(), report.flagged_ids()
+
+
+class TestReportColumns:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=12),
+        k=st.sampled_from([0.3, 1.0, 2.5]),
+        weight_threshold=st.sampled_from([0.1, 0.5, 0.9]),
+        evidence_threshold=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_a_report_from_columns_is_the_report_from_its_entries(
+        self, seed, n, k, weight_threshold, evidence_threshold
+    ):
+        graph = generate_random(n=n, edge_probability=0.4, seed=seed)
+        snapshot = synthesize_snapshot(graph, ScenarioSpec(
+            ground_truth=constant_ground_truth(graph, 4.0), noise_sigma=0.7,
+            attack=AttackSpec(compromised=frozenset({seed % n}), mode="both"), seed=seed))
+        det_params = DetectorParams(weight_threshold, evidence_threshold)
+        report = detect(graph, snapshot, TrustParams(k=k, alpha=0.0), det_params)
+        clone = pickle.loads(pickle.dumps(report))
+        assert "entries" not in vars(report) and "entries" not in vars(clone)
+        texts = outputs(report)
+        assert outputs(clone) == texts and "entries" not in vars(clone)
+        entries, ranking = loop_detection(graph, snapshot, k, det_params)
+        eager = DetectionReport(entries=entries, ranking=ranking, params=det_params)
+        assert outputs(eager) == texts
+        # built on first read, and kept
+        assert report.entries == clone.entries == entries and report.ranking == ranking
+        assert report.entries is report.entries and report == eager == clone
+        rebuilt = DetectionReport(entries=report.entries, ranking=report.ranking,
+                                  params=report.params)
+        assert outputs(rebuilt) == texts
 
 
 _graphs = st.builds(

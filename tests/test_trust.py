@@ -2,10 +2,13 @@
 
 import copy
 import json
+import gc
 import math
+import operator
 import pickle
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trustconnect.trust as trust_module
-from trustconnect.detector import DetectionEntry, DetectionReport, DetectorParams
+from trustconnect.detector import DetectionEntry, DetectionReport, DetectorParams, detect
+from trustconnect.errors import SnapshotMismatchError
 from trustconnect.experiment import reference_fixture
 from trustconnect.graph import DependencyGraph, EcuNode, generate_random
 from trustconnect.snapshot import (
@@ -940,3 +944,124 @@ class TestRowKernelPolicy:
             tracemalloc.stop()
         assert kernels is graph.compiled.kernels["rows"]
         assert peak < 2_000_000
+
+
+def every_iterate_propagation(cg, weights, params):
+    """Fixed-point scores, iteration count and residual, the max-norm taken on every iterate."""
+    factors = [epsilon * params.alpha for epsilon in cg.epsilons]
+    scores = [params.c0] * len(cg.ids)
+    for iterations in range(1, params.max_iterations + 1):
+        products = [factor * score for factor, score in zip(factors, scores)]
+        nxt = []
+        for start, stop in zip(cg.offsets, cg.offsets[1:]):
+            total = 0.0
+            for e in range(start, stop):
+                total += products[cg.dst[e]] + weights[e]
+            nxt.append(total)
+        change = max(map(abs, map(operator.sub, nxt, scores)), default=0.0)
+        scores = nxt
+        if change < params.tolerance:
+            break
+    return scores, iterations, change
+
+
+def every_iterate_outcome(graph, weights, params):
+    """What ``report_outcome`` reads of trust and baseline, by ``every_iterate_propagation``:
+    each score as ``float.hex`` with the facts, or the ValueError text of the first score
+    that is not finite."""
+    cg = graph.compiled
+    runs = [every_iterate_propagation(cg, w, params) for w in (weights, [1.0] * len(weights))]
+    for scores, _, _ in runs:
+        for node_id, score in zip(cg.ids, scores):
+            if not math.isfinite(score):
+                return (f"trust score of node {node_id} is {score!r}, not finite "
+                        f"(alpha={params.alpha!r}, c0={params.c0!r}, mode={params.mode})")
+    (trust, iterations, residual), (btv, base_iterations, base_residual) = runs
+    residual = max(residual, base_residual)
+    return ([(b.hex(), t.hex()) for b, t in zip(btv, trust)], residual < params.tolerance,
+            max(iterations, base_iterations), residual.hex())
+
+
+class TestConvergenceTest:
+    """The max-norm is taken only on an iterate where no change reaches the tolerance, or
+    on the last; the iteration count, the residual and every score stay those of a loop
+    that takes it on every iterate."""
+
+    @settings(max_examples=150)
+    @given(case=kernel_cases(), tolerance=st.sampled_from([1e-9, 1e-3, 0.5, 1, 1e300]))
+    def test_facts_match_a_max_norm_on_every_iterate(self, case, tolerance):
+        graph, weights, params = case
+        params = replace(params, tolerance=tolerance)  # 1 is an int: float.__le__ refuses it
+        expected = every_iterate_outcome(graph, weights, params)
+        for outcome in (report_outcome(graph, weights, params),
+                        kernel_outcome(graph, weights, params)):
+            if isinstance(expected, str):
+                assert outcome == expected
+            else:
+                assert ([(b, t) for b, t, _ in outcome[0]], *outcome[2:5]) == expected
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 13, 100])
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-3, 1])
+    def test_reference_fixture_facts_match(self, max_iterations, tolerance):
+        graph, snapshot = reference_inputs()
+        params = TrustParams(k=1.0, alpha=0.1, mode="fixed-point",
+                             max_iterations=max_iterations, tolerance=tolerance)
+        weights = edge_weights(deviations(graph, snapshot), params.k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            report = full_report(graph, snapshot, params)
+        expected = every_iterate_outcome(graph, weights, params)
+        assert ([(e.btv.hex(), e.trust.hex()) for e in report.entries], report.converged,
+                report.iterations, report.residual.hex()) == expected
+
+
+class TestSharedEdgeWeights:
+    params = TrustParams(k=1.0, alpha=0.1, mode="fixed-point")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (graph, snapshot) of every deviations pass trust runs from now on."""
+        calls = []
+        monkeypatch.setattr(trust_module, "deviations",
+                            lambda graph, snapshot: calls.append((graph, snapshot))
+                            or deviations(graph, snapshot))
+        return calls
+
+    def test_detect_after_full_report_reads_the_same_pass(self, calls):
+        graph, snapshot = reference_inputs()
+        report = full_report(graph, snapshot, self.params)
+        detection = detect(graph, snapshot, self.params)
+        assert trust_scores(graph, snapshot, self.params) == {
+            e.id: e.trust for e in report.entries}
+        assert calls == [(graph, snapshot)]
+        fresh = synthesize_snapshot(graph, reference_fixture()[1])
+        assert detect(graph, fresh, self.params) == detection and len(calls) == 2
+
+    def test_another_k_or_graph_object_runs_its_own_pass(self, calls):
+        graph, snapshot = reference_inputs()
+        twin = DependencyGraph(nodes=graph.nodes, edges=graph.edges)
+        full_report(graph, snapshot, self.params)
+        detect(graph, snapshot, replace(self.params, k=2.0))
+        full_report(twin, snapshot, self.params)
+        trust_scores(twin, snapshot, self.params)
+        assert calls == [(graph, snapshot), (graph, snapshot), (twin, snapshot)]
+
+    def test_a_failed_pass_keeps_nothing_and_fails_again(self, calls):
+        graph = build([(0, 0.5), (1, 0.5)], [(0, 1), (1, 0)])
+        snapshot = Snapshot(observed={0: 1.0}, inferred={(0, 1): 1.0, (1, 0): 1.0})
+        for run in (full_report, trust_scores, lambda *args: detect(*args)):
+            with pytest.raises(SnapshotMismatchError, match="node 1"):
+                run(graph, snapshot, self.params)
+        assert len(calls) == 3
+
+    def test_the_weights_are_freed_with_the_snapshot(self):
+        graph, snapshot = reference_inputs()
+        full_report(graph, snapshot, self.params)
+        detect(graph, snapshot, self.params)
+        freed = weakref.ref(snapshot)
+        gc.disable()  # freed by reference counting, held by nothing but the snapshot
+        try:
+            del snapshot
+            assert freed() is None
+        finally:
+            gc.enable()
