@@ -173,8 +173,8 @@ def _propagate(cg: CompiledGraph, weights: Iterable[float], params: TrustParams)
     ``products[j] + weight``, one product epsilon[j] * alpha * C(j) per node, by the row
     kernels (see ``_row_kernels``) or else the loop, whose iterations count towards
     building them, until the residual, the max-norm change of the last iterate, is below
-    the tolerance. It is taken only where no change reaches the tolerance, and on the last
-    iterate: elsewhere it, or the NaN ``max`` keeps, is not below it, nor is the kept ``change``.
+    the tolerance. That max-norm is taken only where no change reaches the tolerance, and
+    on the last iterate; elsewhere it (or the NaN ``max`` keeps) is not below it, nor is ``change``.
     """
     offsets = cg.offsets
     factors = [epsilon * params.alpha for epsilon in cg.epsilons]

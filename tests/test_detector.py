@@ -241,7 +241,8 @@ class TestSerialization:
 
 
 def loop_detection(graph, snapshot, k, det_params):
-    """The per-edge loop that built a report's entries before it kept columns: (entries, ranking)."""
+    """The per-edge loop that built a report's entries before it kept columns, as the
+    reference: (entries, ranking)."""
     cg = graph.compiled
     weights = edge_weights(deviations(graph, snapshot), k)
     entries = []
