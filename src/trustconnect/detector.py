@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, ge, itemgetter, lt, neg
 
 from .graph import DependencyGraph
 from .errors import require_finite
 from .snapshot import Snapshot
-from .trust import TrustParams, _EntryColumns, _snapshot_weights, json_text, params_line
+from .trust import (TrustParams, _EntryColumns, _json_column, _json_list, _report_json,
+                    _snapshot_weights, params_line)
 
 DETECTION_HEADER = "trustconnect-detection v1"
 DETECTION_CSV_HEADER = "id,evidence,flagged"
@@ -83,12 +84,14 @@ class DetectionReport(_EntryColumns):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json_text({
-            "ecus": [dict(zip(DetectionEntry.__dataclass_fields__, row))
-                     for row in zip(*self._columns)],
-            "ranking": self.ranking,
-            "params": vars(self.params),
-        })
+        neighbors = self._columns[4]  # encoded as one column, then taken back row by row
+        texts = iter(_json_column(list(chain.from_iterable(neighbors))))
+        return _report_json({"ecus": [
+            f'{{\n      "id": {i},\n      "label": {label},\n      "evidence": {e},\n      '
+            f'"flagged": {f},\n      "contradicting_neighbors": '
+            f'{_json_list(list(islice(texts, len(n))), "        ")}\n    }}'
+            for i, label, e, f, n in zip(*map(_json_column, self._columns[:4]), neighbors)],
+            "ranking": _json_column(self.ranking)}, {"params": vars(self.params)})
 
 
 def detect(

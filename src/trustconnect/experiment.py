@@ -32,7 +32,6 @@ A relative graph_file is resolved against the spec file's directory.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -137,6 +136,7 @@ class SweepSpec:
 
 
 def graph_digest(graph: DependencyGraph) -> str:
+    import hashlib  # here, so that only a sweep's cold start loads OpenSSL
     return hashlib.sha256(graph_to_text(graph).encode("utf-8")).hexdigest()
 
 

@@ -67,6 +67,10 @@ class Snapshot(_Derived):
     inferred: dict[tuple[int, int], float]
     _derived = ("inferred", "_graph", lambda snap: dict(zip(snap._graph.edges, snap._column)))
 
+    def __getstate__(self):
+        """A pickle or copy leaves out the kept weights: its graph is another object."""
+        return {key: value for key, value in vars(self).items() if key != "_weights"}
+
 
 @dataclass(frozen=True)
 class AttackSpec:

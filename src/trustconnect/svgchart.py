@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from html import escape
 from itertools import chain
 
 PALETTE = ("#4878a8", "#e8923c", "#6aa84f", "#a84848", "#7a5aa8")
@@ -23,6 +22,11 @@ _MARGIN_BOTTOM = 46
 _PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
 _PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 _BASELINE = _MARGIN_TOP + _PLOT_H
+
+
+def _escape(text: str) -> str:
+    """``html.escape(text, quote=False)``, without importing ``html``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @lru_cache(maxsize=1)
@@ -42,7 +46,7 @@ def _bar_layout(labels: tuple[str, ...], n_series: int) -> str:
         lines.append(
             f'<text x="{gx + group_w / 2:.2f}" y="{label_y}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="9">'
-            f'{escape(label, quote=False).replace("%", "%%")}</text>\n'
+            f'{_escape(label).replace("%", "%%")}</text>\n'
         )
     return "".join(lines)
 
@@ -75,7 +79,7 @@ def grouped_bar_svg(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
 
     # y axis with five gridline ticks, 0 through peak
@@ -111,7 +115,7 @@ def grouped_bar_svg(
             f'<rect x="{lx:.2f}" y="{ly - 9}" width="10" height="10" '
             f'fill="{PALETTE[si % len(PALETTE)]}"/>',
             f'<text x="{lx + 14:.2f}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(name, quote=False)}</text>',
+            f'font-size="11">{_escape(name)}</text>',
         ]
         lx += 20 + 7 * len(name)
     return "\n".join(head) + "\n" + bars + "\n".join(tail) + "\n</svg>\n"

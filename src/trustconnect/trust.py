@@ -42,7 +42,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 from .errors import require_finite, require_int
 from .graph import CompiledGraph, DependencyGraph, _Derived
@@ -290,47 +290,31 @@ def params_line(params) -> str:
     )
 
 
-# A list of records one level into the document holds each record's fields
-# six spaces deep under indent=2. The C encoder writes no newline of its own,
-# so with this item separator it puts the fields of a flat record exactly there.
-_RECORDS = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
-_SCALARS = {str, int, float, bool, type(None)}
+# No encoded scalar holds a newline, so this item separator splits a column's text.
+_COLUMN = json.JSONEncoder(allow_nan=False, separators=("\n", ": "))
 
 
-def _records_json(value) -> str | None:
-    """``value`` as indent=2 writes it one level in, if it is a nonempty list
-    of nonempty dicts of scalars; otherwise None.
+def _json_column(values) -> list[str]:
+    """Each of ``values``, scalars, as JSON text from one C-encoder call; ValueError on NaN
+    or an infinity, as ``json.dumps(..., allow_nan=False)`` raises."""
+    return _COLUMN.encode(values)[1:-1].split("\n") if values else []
 
-    Such a list comes out of the C encoder as ``[{...},SEP{...}]``. Only a
-    record boundary reads ``},SEP{``: SEP holds a newline, which no encoded
-    string does, and inside a record SEP is followed by a key's quote.
-    """
-    if not (
-        type(value) in (list, tuple) and set(map(type, value)) == {dict}
-        and all(value)
-        and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS
-    ):
-        return None
-    records = _RECORDS.encode(value)[2:-2]
-    return "[\n    {\n      " + records.replace(
-        "},\n      {", "\n    },\n    {\n      "
-    ) + "\n    }\n  ]"
+
+def _json_list(texts: list[str], indent: str) -> str:
+    """A list of encoded values as indent=2 lays it out with its items ``indent`` deep."""
+    return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[2:]}]" if texts else "[]"
 
 
 def json_text(doc: dict) -> str:
-    """A report document as indented JSON; ValueError on NaN or an infinity.
+    """``json.dumps(doc, indent=2, allow_nan=False)`` and a newline: a report document's text."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
-    ``doc`` has string keys. The text is ``json.dumps(doc, indent=2,
-    allow_nan=False)`` plus a newline. That encoder is pure Python; a list
-    of flat records (a report's ``ecus``) goes through the C encoder instead.
-    """
-    fields = []
-    for key, value in doc.items():
-        text = _records_json(value)
-        if text is None:
-            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n"
+
+def _report_json(lists: dict[str, list[str]], rest: dict) -> str:
+    """``json_text`` of ``lists`` followed by ``rest``, which is not empty; each list is
+    given as its items' texts, a record's laid out two levels in."""
+    return "{\n" + "".join(f'  "{key}": {_json_list(texts, "    ")},\n'
+                            for key, texts in lists.items()) + json_text(rest)[2:]
 
 
 @dataclass(frozen=True)
@@ -394,9 +378,10 @@ class TrustReport(_EntryColumns):
         )
 
     def to_json(self) -> str:
-        return json_text({
-            "ecus": [{"id": i, "label": label, "epsilon": e, "btv": b, "trust": t, "eatv": a}
-                     for i, label, e, b, t, a in zip(*self._columns)],
+        return _report_json({"ecus": [
+            f'{{\n      "id": {i},\n      "label": {label},\n      "epsilon": {e},\n      '
+            f'"btv": {b},\n      "trust": {t},\n      "eatv": {a}\n    }}'
+            for i, label, e, b, t, a in zip(*map(_json_column, self._columns))]}, {
             "network_trust": self.network_trust,
             "params": vars(self.params),
             "converged": self.converged,

@@ -1,6 +1,11 @@
+import importlib.util
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,6 +402,23 @@ def test_package_exports_are_exactly_the_public_api():
         "synthesize_snapshot", "trust_scores", "validate", "validate_snapshot",
     ]
     assert len(set(trustconnect.__all__)) == len(trustconnect.__all__)
+
+
+def test_a_cold_start_loads_every_traced_module_but_neither_openssl_nor_html():
+    """``import trustconnect.cli`` leaves ``hashlib`` to the sweep's ``graph_digest`` and
+    ``html`` to no one, and imports each module whose bindings perfbench's tracer swaps."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {home for home, *_ in spans.FUNCTIONS}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, trustconnect.cli; print(*sys.modules, sep='\\n')"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+        check=True)
+    loaded = set(done.stdout.splitlines())
+    assert len(traced) == 6 and traced <= loaded
+    assert {"hashlib", "_hashlib", "html", "html.entities"}.isdisjoint(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,18 @@ def _dumps(doc):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+json_ids = st.integers() | st.booleans()
+
+
+def _report_doc(report) -> dict:
+    """The document a report's JSON writes, built from its entries' own fields."""
+    doc = {"ecus": [vars(entry) for entry in report.entries]}
+    if isinstance(report, DetectionReport):
+        return {**doc, "ranking": report.ranking, "params": vars(report.params)}
+    return {**doc, "network_trust": report.network_trust, "params": vars(report.params),
+            "converged": report.converged, "provenance": dict(report.provenance)}
+
+
 class TestJsonText:
     @given(json_docs)
     def test_equals_json_dumps_indent_2(self, doc):
@@ -707,7 +719,7 @@ class TestJsonText:
     @given(
         entries=st.lists(
             st.builds(
-                TrustEntry, id=st.integers(), label=json_strings, epsilon=json_finite,
+                TrustEntry, id=json_ids, label=json_strings, epsilon=json_finite,
                 btv=json_finite, trust=json_finite, eatv=json_finite,
             ),
             max_size=4,
@@ -720,14 +732,14 @@ class TestJsonText:
             converged=True, provenance=tuple(sorted(provenance.items())),
         )
         text = report.to_json()
-        assert json_text(json.loads(text)) == _dumps(json.loads(text)) == text
+        assert _dumps(_report_doc(report)) == _dumps(json.loads(text)) == text
 
     @given(
         entries=st.lists(
             st.builds(
-                DetectionEntry, id=st.integers(), label=json_strings, evidence=json_finite,
+                DetectionEntry, id=json_ids, label=json_strings, evidence=json_finite,
                 flagged=st.booleans(),
-                contradicting_neighbors=st.lists(st.integers(), max_size=3).map(tuple),
+                contradicting_neighbors=st.lists(json_ids, max_size=3).map(tuple),
             ),
             max_size=4,
         )
@@ -738,7 +750,47 @@ class TestJsonText:
             params=DetectorParams(),
         )
         text = report.to_json()
-        assert json_text(json.loads(text)) == _dumps(json.loads(text)) == text
+        assert _dumps(_report_doc(report)) == _dumps(json.loads(text)) == text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["epsilon", "btv", "trust", "eatv", "network_trust", "evidence"])
+    def test_a_non_finite_float_raises_as_json_dumps_does(self, field, value):
+        entry = TrustEntry(id=0, label="E0", epsilon=0.5, btv=2.0, trust=1.0, eatv=1.5)
+        if field == "evidence":
+            report = DetectionReport(entries=(DetectionEntry(0, "E0", value, True, (1,)),),
+                                     ranking=(0,), params=DetectorParams())
+        else:
+            report = TrustReport(
+                entries=(replace(entry, **{field: value}) if hasattr(entry, field) else entry,),
+                network_trust=value if field == "network_trust" else 1.0,
+                params=TrustParams(k=1.0, alpha=0.1), converged=True)
+        for write in (report.to_json, lambda: _dumps(_report_doc(report))):
+            with pytest.raises(ValueError, match="^Out of range float values are not JSON"):
+                write()
+
+    def test_empty_reports(self):
+        for report in (
+            TrustReport(entries=(), network_trust=1.0, params=TrustParams(k=1.0, alpha=0.1),
+                        converged=True),
+            DetectionReport(entries=(), ranking=(), params=DetectorParams()),
+        ):
+            text = report.to_json()
+            assert _dumps(_report_doc(report)) == text
+            assert '"ecus": [],' in text
+
+    def test_a_2000_node_report(self):
+        graph = generate_random(n=2000, edge_probability=0.005, seed=1)
+        scenario = ScenarioSpec(constant_ground_truth(graph, 10.0), noise_sigma=0.5, seed=1,
+                                attack=AttackSpec(frozenset({3, 400, 1999}), "both", 4.0))
+        snapshot = synthesize_snapshot(graph, scenario)
+        params = TrustParams(k=1.0, alpha=0.1)
+        detection = detect(graph, snapshot, params)
+        assert sum(map(len, detection._columns[4])) > 1000
+        for report in (full_report(graph, snapshot, params), detection):
+            text = report.to_json()
+            assert len(json.loads(text)["ecus"]) == 2000
+            assert _dumps(_report_doc(report)) == _dumps(json.loads(text)) == text
 
 
 def reference_inputs():
@@ -1055,6 +1107,22 @@ class TestSharedEdgeWeights:
             with pytest.raises(SnapshotMismatchError, match="node 1"):
                 run(graph, snapshot, self.params)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("columns", [True, False], ids=["column", "dict"])
+    def test_a_pickle_or_copy_leaves_the_kept_weights_out(self, columns):
+        graph, snapshot = reference_inputs()
+        if not columns:
+            snapshot = Snapshot(observed=dict(snapshot.observed), inferred=dict(snapshot.inferred))
+        size = len(pickle.dumps(snapshot))
+        report = full_report(graph, snapshot, self.params)
+        assert "_weights" in vars(snapshot) and len(pickle.dumps(snapshot)) == size
+        hexes = [e.trust.hex() for e in report.entries], report.network_trust.hex()
+        for clone in (pickle.loads(pickle.dumps(snapshot)), copy.copy(snapshot),
+                      copy.deepcopy(snapshot)):
+            assert "_weights" not in vars(clone)
+            assert (clone.observed, clone.inferred) == (snapshot.observed, snapshot.inferred)
+            again = full_report(graph, clone, self.params)
+            assert ([e.trust.hex() for e in again.entries], again.network_trust.hex()) == hexes
 
     def test_the_weights_are_freed_with_the_snapshot(self):
         graph, snapshot = reference_inputs()
