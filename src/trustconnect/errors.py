@@ -1,8 +1,7 @@
 """Exception types shared across the package, and the readers of its text formats."""
 
 import math
-from collections.abc import Iterator
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 
@@ -145,43 +144,48 @@ def read_records(text: str, path: str | None, header: str, records: dict) -> dic
     return found
 
 
-LINE_CHUNK, COLUMN_CHUNK = 1 << 16, 1024
+LINE_CHUNK = 1 << 16
 
 
-def split_lines(text: str) -> Iterator[str]:
-    """``text.splitlines()``, a chunk of about ``LINE_CHUNK`` characters at a time.
+def admit(text: str, header: str) -> str:
+    """``text`` with each ``str.splitlines()`` line break a ``\\n`` and its last line ended,
+    for a bulk read; ``""`` if it holds a ``#`` or a tab, or its first line is not ``header``.
+    Only a text that needs it is copied, and no list of its lines is built."""
+    # "\r\n" first, so that it stays one line break
+    for other in ("\r\n", *"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+        text = text.replace(other, "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    admitted = "#" not in text and "\t" not in text and text.startswith(header + "\n")
+    return text if admitted else ""
 
-    A chunk ends just after a ``\\n``, which ends any line break it is part of.
-    """
-    begin = 0
-    while begin < len(text):
-        cut = text.find("\n", begin + LINE_CHUNK) + 1 or len(text)
-        yield from text[begin:cut].splitlines()
-        begin = cut
 
-
-def read_columns(lines: Iterator[str], spec) -> list[list] | None:
-    """The fields of the lines ``lines`` yields by column, or None if a line is not canonical.
-
-    A canonical line holds ``len(spec)`` fields joined by single spaces. Per
-    field, ``spec`` gives an iterator over the strings the lines hold there,
-    or a function to map over the column; the mapped columns are returned,
-    and a function raising ValueError or LookupError also gives None. Lines
-    are split ``COLUMN_CHUNK`` at a time.
-    """
-    width = len(spec)
-    columns = {k: [] for k, kind in enumerate(spec) if callable(kind)}
-    while chunk := list(islice(lines, COLUMN_CHUNK)):
-        # per line: a total field count accepts "a b" + "c a b c"
-        if set(map(str.count, chunk, repeat(" "))) != {width - 1}:
+def read_columns(text: str, begin: int, end: int, kind: str, spec) -> list[list] | None:
+    """The fields after ``kind`` on the lines of ``text[begin:end]`` (a text ``admit`` gave, cut
+    at line starts), by column; None unless each line is ``kind`` and ``len(spec)`` fields, one
+    space apart. Per field, ``spec`` gives an iterator over the strings the lines hold there,
+    or a function to map over the column; the mapped columns are returned, and a function
+    raising ValueError or LookupError also gives None. Each chunk of about ``LINE_CHUNK``
+    characters is split once and proved with no pass per line: it starts with ``kind``, so does
+    each of its lines, and it splits into the fields of that many full lines and the empty one
+    after its last newline. A line with a field too many or too few then puts some line's
+    ``kind`` in a column of ``spec``, so every column must refuse that text."""
+    width, starts = len(spec) + 1, f"\n{kind} "
+    columns = {k: [] for k, field in enumerate(spec, 1) if callable(field)}
+    while begin < end:
+        cut = text.find("\n", begin + LINE_CHUNK, end) + 1 or end
+        chunk, begin = text[begin:cut], cut
+        lines = chunk.count("\n")
+        fields = chunk.replace("\n", " ").split(" ")
+        if (not chunk.startswith(starts[1:]) or chunk.count(starts) != lines - 1
+                or len(fields) != width * lines + 1):
             return None
-        fields = " ".join(chunk).split(" ")
-        for k, kind in enumerate(spec):
+        for k, field in enumerate(spec, 1):
             column = fields[k::width]
             try:
                 if k in columns:
-                    columns[k].extend(map(kind, column))
-                elif column != list(islice(kind, len(column))):
+                    columns[k].extend(map(field, column))
+                elif column != list(islice(field, len(column))):
                     return None
             except (ValueError, LookupError):
                 return None

@@ -27,8 +27,8 @@ from itertools import chain, islice, pairwise, repeat, starmap
 from operator import add, eq, itemgetter, lt, sub
 
 from .errors import (
-    LIST, GraphInvariantError, is_one_field, read_columns, read_records, read_text, require_int,
-    split_lines, write_text,
+    LIST, GraphInvariantError, admit, is_one_field, read_columns, read_records, read_text,
+    require_int, write_text,
 )
 
 GRAPH_HEADER = "trustconnect-graph v1"
@@ -327,15 +327,12 @@ def _read_canonical(text: str) -> DependencyGraph | None:
     Canonical order is proved, not restored. Endpoints are looked up by id text as node positions,
     and the edges are kept only as ``compiled``'s rows until ``graph.edges`` is first read.
     """
-    # a comment or a tab anywhere leaves the document to the reader at once
-    if "#" in text or "\t" in text:
-        return None
-    lines = split_lines(text)
-    columns = next(lines, None) == GRAPH_HEADER and read_columns(
-        islice(lines, text.count("\nnode ")), (repeat("node"), int, str, float))
+    text = admit(text, GRAPH_HEADER)
+    edges = text.find("\nedge ") + 1 or len(text)
+    columns = text and read_columns(text, len(GRAPH_HEADER) + 1, edges, "node", (int, str, float))
     index = columns and dict(zip(map(str, columns[0]), range(len(columns[0]))))
     edge_columns = columns and read_columns(
-        lines, (repeat("edge"), index.__getitem__, index.__getitem__))
+        text, edges, len(text), "edge", (index.__getitem__, index.__getitem__))
     if not edge_columns:
         return None
     (ids, labels, epsilons), (sources, targets) = columns, edge_columns
@@ -343,7 +340,8 @@ def _read_canonical(text: str) -> DependencyGraph | None:
     # as ids ascend, source * n + target orders edges as their id pairs do
     keys = map(add, map(len(ids).__mul__, sources), targets)
     if not (min(ids, default=0) >= 0 and all(map(lt, ids, islice(ids, 1, None)))
-            and all(starmap(lt, pairwise(keys)))
+            # a label "node" may be a node line's kind, moved there by a field too many
+            and all(starmap(lt, pairwise(keys))) and "node" not in labels
             and not any(map(eq, sources, targets)) and _nodes_valid(nodes)):
         return None
     offsets = (*map(bisect_left, repeat(sources), range(len(ids))), len(sources))

@@ -34,12 +34,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice, repeat
 from operator import sub
 
 from .errors import (
-    ID, SINGLE, SnapshotMismatchError, finite_float, read_columns, read_records, read_text,
-    require_finite, require_int, split_lines, write_text,
+    ID, SINGLE, SnapshotMismatchError, admit, finite_float, read_columns, read_records,
+    read_text, require_finite, require_int, write_text,
 )
 from .graph import DependencyGraph, _Derived
 
@@ -307,17 +306,15 @@ def _read_aligned(text: str, graph: DependencyGraph) -> Snapshot | None:
 
     Ids are compared as text, and the inferred values stay the column they were read as.
     """
+    text = admit(text, SNAPSHOT_HEADER)
     compiled = graph.compiled
-    if "#" in text or "\t" in text:
-        return None
     ids = list(map(str, compiled.ids))
-    lines = split_lines(text)
-    obs = next(lines, None) == SNAPSHOT_HEADER and read_columns(
-        islice(lines, len(ids)), (repeat("obs"), iter(ids), float))
-    # a line past the last edge has no id text left to match; a short file, too few values
-    inf = obs and read_columns(lines, (
-        repeat("inf"), compiled.sources_of(ids), map(ids.__getitem__, compiled.dst), float))
-    # a finite sum proves every value finite; any other is the reader's to name
+    infs = text.find("\ninf ") + 1 or len(text)
+    obs = text and read_columns(text, len(SNAPSHOT_HEADER) + 1, infs, "obs", (iter(ids), float))
+    # a line past the last node or edge has no id text left to match; a short file, too few values
+    inf = obs and read_columns(text, infs, len(text), "inf", (
+        compiled.sources_of(ids), map(ids.__getitem__, compiled.dst), float))
+    # a finite sum proves every value finite, and none a misplaced "inf"; the reader names any other
     if (not inf or len(obs[0]) + len(inf[0]) != len(ids) + len(compiled.dst)
             or not math.isfinite(sum(obs[0]) + sum(inf[0]))):
         return None

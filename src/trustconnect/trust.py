@@ -96,8 +96,8 @@ def edge_weights(devs: Iterable[float], k: float) -> list[float]:
     Unchecked: deviations are absolute values and TrustParams holds k
     finite and non-negative.
     """
-    exp = math.exp
-    return [exp(-k * d) for d in devs]
+    exp, minus_k = math.exp, -k
+    return [exp(minus_k * d) for d in devs]
 
 
 def _snapshot_weights(graph: DependencyGraph, snapshot: Snapshot, k: float) -> list[float]:

@@ -177,7 +177,7 @@ def test_src_statements_moves_only_when_a_statement_goes(tmp_path, edit, change)
 
 # The most statements and lines src/trustconnect may hold. A change that must grow
 # either raises it here in the same diff and says why in CHANGES.md.
-MAX_SRC_STATEMENTS, MAX_SRC_LINES = 1148, 2432
+MAX_SRC_STATEMENTS, MAX_SRC_LINES = 1148, 2431
 
 
 def test_the_package_is_no_larger_than_its_ratchet():

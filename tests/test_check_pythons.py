@@ -1,4 +1,5 @@
-"""``tools/check_pythons.py``: every golden file on each supported Python."""
+"""``tools/check_pythons.py``: every golden file, the row kernels and ``network_trust`` on each
+supported Python."""
 
 import subprocess
 import sys
@@ -22,7 +23,9 @@ def test_every_golden_file_is_reproduced(version):
     done = run_tool(str(found[-1]))
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.startswith(f"{found[-1]} ok: {version}.")
-    assert done.stdout.endswith(f", {GOLDEN_FILES} golden files byte-identical\n")
+    assert done.stdout.endswith(
+        f", {GOLDEN_FILES} golden files byte-identical, kernels bit-identical to the loop,"
+        " network_trust summed left to right\n")
 
 
 def test_a_missing_interpreter_is_skipped_not_failed(tmp_path):

@@ -23,8 +23,8 @@ from trustconnect.errors import (
     GraphInvariantError,
     ParseError,
     SnapshotMismatchError,
+    admit,
     finite_float,
-    split_lines,
 )
 from trustconnect.experiment import (
     SWEEP_HEADER,
@@ -492,17 +492,19 @@ def test_reader_matches_the_per_format_loops_it_replaced(
 
 
 # edits of a canonical graph or snapshot document, each applied at a drawn
-# record; the first two need the record after it too. The last four leave
+# record; the first three need the record after it too. The last four leave
 # every line canonical, so only the bulk graph read's own checks refuse them;
 # the first of those applies to snapshots too (two obs lines swapped).
-PAIRWISE = ("misaligned pair", "swapped records")
+PAIRWISE = ("misaligned pair", "swapped records", "traded field")
 GRAPH_ONLY = ("self-loop", "epsilon out of range", "negative id")
 MUTATIONS = PAIRWISE + (
     "canonical", "tab", "double space", "trailing space", "crlf", "other line break",
-    "blank line", "comment line", "trailing comment", "leading zero", "duplicate record",
-    "missing record", "missing last record", "unknown id", "extra field", "non-finite value",
-    "nodes out of order",
+    "section line break", "no final newline", "blank line", "comment line", "trailing comment",
+    "leading zero", "duplicate record", "missing record", "missing last record", "unknown id",
+    "extra field", "non-finite value", "kind as field", "nodes out of order",
 ) + GRAPH_ONLY
+# the mutations that leave the document's value as it is
+SAME_VALUE = ("canonical", "crlf", "other line break", "section line break", "no final newline")
 # every line break str.splitlines knows but "\n" and "\r\n"
 OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -517,6 +519,11 @@ def _mutated(name, text, draw):
     if name == "nodes out of order":
         k = draw(st.integers(1, nodes - 1))
         lines[k:k + 2] = [lines[k + 1], lines[k]]
+    elif name == "kind as field":
+        # a node labelled "node", or an obs value "obs"
+        k = draw(st.integers(1, nodes))
+        record = lines[k].split(" ")
+        lines[k] = " ".join([*record[:2], record[0], *record[3:]])
     elif name == "epsilon out of range":
         k = draw(st.integers(1, nodes))
         epsilon = draw(st.sampled_from(["-0.1", "-1e-300", "1.0000000000000002", "1.5"]))
@@ -539,14 +546,21 @@ def _mutated(name, text, draw):
         lines[k:k + 2] = [" ".join(fields[:-1]), f"{fields[-1]} {lines[k + 1]}"]
     elif name == "swapped records":
         lines[k:k + 2] = [lines[k + 1], line]
+    elif name == "traded field":
+        # "node 1 A 0.5 node 7" + "node 0.2": each line starts with its kind and the two hold
+        # eight fields, but the second's kind stands where its label stood
+        after = lines[k + 1].split(" ")
+        lines[k:k + 2] = [" ".join([line, *after[:-2]]), f"{after[0]} {after[-1]}"]
     elif name in ("tab", "double space"):
         cut = draw(st.integers(1, len(fields) - 1))
         gap = "\t" if name == "tab" else "  "
         lines[k] = " ".join(fields[:cut]) + gap + " ".join(fields[cut:])
     elif name == "trailing space":
         lines[k] = line + " "
-    elif name == "other line break":
-        lines[k - 1:k + 1] = [lines[k - 1] + draw(st.sampled_from(OTHER_LINE_BREAKS)) + line]
+    elif name in ("other line break", "section line break"):
+        if name == "section line break":  # before the first edge or inf line, or else the last
+            k = min(nodes + 1, len(lines) - 1)
+        lines[k - 1:k + 1] = [lines[k - 1] + draw(st.sampled_from(OTHER_LINE_BREAKS)) + lines[k]]
     elif name == "blank line":
         lines.insert(k, "")
     elif name == "comment line":
@@ -570,7 +584,7 @@ def _mutated(name, text, draw):
             value = "0" + fields[position] if name == "leading zero" else "99999999"
         fields[position] = value
         lines[k] = " ".join(fields)
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(lines) + ("" if name == "no final newline" else "\n")
     return text.replace("\n", "\r\n") if name == "crlf" else text
 
 
@@ -582,9 +596,8 @@ def _deviation_bits(graph, snapshot):
 
 
 def _small_chunks(draw):
-    """The bulk readers' chunk sizes, patched so that a drawn document spans several chunks."""
-    return mock.patch.multiple(errors, LINE_CHUNK=draw(st.integers(1, 40)),
-                               COLUMN_CHUNK=draw(st.integers(1, 4)))
+    """The bulk readers' chunk size, patched so that a drawn document spans several chunks."""
+    return mock.patch.object(errors, "LINE_CHUNK", draw(st.integers(1, 40)))
 
 
 def _outcome(parse, *args):
@@ -608,7 +621,7 @@ def test_bulk_graph_read_is_the_reader_or_falls_back(mutation, data):
         bulk = graph_read_canonical(text)
         assert _outcome(graph_from_text, text, "doc.txt") == reader
     assert bulk is None or bulk == reader
-    assert mutation not in ("canonical", "crlf") or bulk == graph
+    assert mutation not in SAME_VALUE or bulk == graph
     if mutation in GRAPH_ONLY + ("nodes out of order",):
         assert bulk is None
 
@@ -657,7 +670,7 @@ def test_aligned_snapshot_read_is_the_reader_or_falls_back(mutation, data):
         assert "inferred" not in vars(bulk)  # built from the column on first read
         assert type(bulk.inferred) is dict and bulk.inferred == reader.inferred
     assert bulk is None or bulk == reader
-    assert mutation not in ("canonical", "crlf", "other line break") or bulk == snapshot
+    assert mutation not in SAME_VALUE or bulk == snapshot
     if isinstance(reader, Snapshot) and validate_snapshot(graph, reader):
         # counts that match leave a wrong edge for evaluation to name
         assert public == reader or public[0] is SnapshotMismatchError
@@ -665,11 +678,13 @@ def test_aligned_snapshot_read_is_the_reader_or_falls_back(mutation, data):
         assert public == reader
 
 
-@given(text=st.text(alphabet="ab \n" + OTHER_LINE_BREAKS), line_chunk=st.integers(1, 8))
-@example(text="a\r\nb\rc\r\n\r\n", line_chunk=1)
-def test_split_lines_gives_the_lines_of_splitlines(text, line_chunk):
-    with mock.patch.object(errors, "LINE_CHUNK", line_chunk):
-        assert list(split_lines(text)) == text.splitlines()
+@given(text=st.text(alphabet="ab \n" + OTHER_LINE_BREAKS))
+@example(text="a\r\nb\rc\r\n\r\n")
+@example(text="a\nb\u2028 b")
+def test_admit_gives_the_lines_of_splitlines(text):
+    lines = text.splitlines()
+    expected = "".join(f"{line}\n" for line in lines) if lines[:1] == ["a"] else ""
+    assert admit(text, "a") == expected
 
 
 def test_bulk_read_of_20k_edges_peaks_below_a_fixed_bound():
