@@ -15,6 +15,7 @@ import argparse
 import gc
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,21 +299,24 @@ def main(argv=None) -> int:
     # collector would only rescan the parsed records; off for the run
     gc_enabled = gc.isenabled()
     gc.disable()
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except (TrustConnectError, ValueError) as exc:
-        print(f"trustconnect: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"trustconnect: i/o error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if gc_enabled:
-            gc.enable()
-
+    with warnings.catch_warnings():
+        # a warning is one line, as an error is; the default filter still shows each once
+        warnings.showwarning = lambda message, *_: print(
+            f"trustconnect: warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        except (TrustConnectError, ValueError) as exc:
+            print(f"trustconnect: error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"trustconnect: i/o error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            if gc_enabled:
+                gc.enable()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, pairwise, repeat, starmap
-from operator import add, eq, itemgetter, lt, sub
+from operator import add, attrgetter, eq, itemgetter, lt, sub
 
 from .errors import (
     LIST, GraphInvariantError, admit, is_one_field, read_columns, read_records, read_text,
@@ -77,9 +77,10 @@ class DependencyGraph(_Derived):
     """Immutable directed graph of EcuNodes.
 
     Construction canonicalizes ordering (nodes by id, edges lexicographic)
-    but does not reject invalid input; use :func:`validate` to check the
-    invariants. A graph read in bulk holds no ``edges`` until they are
-    first read; they are then built from ``compiled`` and kept.
+    but does not reject invalid input: :func:`validate` lists its
+    violations, and evaluating it raises them as GraphInvariantError. A
+    graph read in bulk holds no ``edges`` until they are first read; they
+    are then built from ``compiled`` and kept.
     """
 
     nodes: tuple[EcuNode, ...]
@@ -100,7 +101,8 @@ class DependencyGraph(_Derived):
 
     @cached_property
     def compiled(self) -> CompiledGraph:
-        """The flat form the evaluation loops run on, built on first use unless read in bulk."""
+        """The flat form the evaluation loops run on, built on first use unless read in bulk;
+        GraphInvariantError naming every violation if the graph is not valid."""
         return _compile(self)
 
 
@@ -139,54 +141,47 @@ class CompiledGraph:
 def _compile(graph: DependencyGraph) -> CompiledGraph:
     ids = graph.node_ids
     index = dict(zip(ids, range(len(ids))))
-    sources = list(map(itemgetter(0), graph.edges))
-    dst = tuple(map(index.get, map(itemgetter(1), graph.edges)))
-    if len(index) != len(ids) or None in dst or not index.keys() >= set(sources):
-        raise GraphInvariantError(validate(graph))
-    # edges are sorted by source id, so each node's out-edges are one run
-    return CompiledGraph(
-        ids=ids,
-        epsilons=tuple(node.epsilon for node in graph.nodes),
-        offsets=(*map(bisect_left, repeat(sources), ids), len(sources)),
-        dst=dst,
-    )
+    sources, targets = (list(map(index.get, map(itemgetter(k), graph.edges))) for k in (0, 1))
+    compiled = (None not in sources and None not in targets
+                and _compiled(graph.nodes, ids, sources, targets))
+    if not compiled:
+        raise GraphInvariantError(_violations(graph))
+    return compiled
+
+
+def _compiled(nodes, ids, sources, targets) -> CompiledGraph | None:
+    """The compiled form of ``nodes``, given in id order with ids ``ids``, and of the edges whose
+    endpoints are the node positions ``sources`` and ``targets``, in edge order; None unless the
+    graph is valid, proved by checks over whole sequences.
+
+    Ids must be non-negative and ascend strictly, so must ``source * n + target`` (n nodes),
+    which orders the edges as their id pairs do, and there may be no self-loop and no label or
+    epsilon that :func:`_violations` rejects.
+    """
+    keys = map(add, map(len(ids).__mul__, sources), targets)
+    if not (min(ids, default=0) >= 0 and all(map(lt, ids, islice(ids, 1, None)))
+            and all(starmap(lt, pairwise(keys))) and not any(map(eq, sources, targets))
+            and all(0.0 <= node.epsilon <= 1.0 and is_one_field(node.label)
+                    and "," not in node.label for node in nodes)):
+        return None
+    # edges ascend by source, so each node's out-edges are one run
+    offsets = (*map(bisect_left, repeat(sources), range(len(ids))), len(sources))
+    return CompiledGraph(tuple(ids), tuple(map(attrgetter("epsilon"), nodes)), offsets,
+                         tuple(targets))
 
 
 def validate(graph: DependencyGraph) -> list[str]:
     """Return every invariant violation, in deterministic order.
 
     Node problems come first (ascending id), then edge problems
-    (lexicographic). An empty list means the graph is valid.
+    (lexicographic). An empty list means the graph is valid: exactly
+    when ``graph.compiled`` builds.
     """
-    return [] if _is_valid(graph) else _violations(graph)
-
-
-def _is_valid(graph: DependencyGraph) -> bool:
-    """Whether :func:`_violations` would find nothing, proved by bulk checks.
-
-    The constructor sorts the edges, so duplicate edges sit next to each
-    other. Every check runs over whole sequences in C except the one pass
-    over the nodes.
-    """
-    ids = graph.node_ids
-    known = set(ids)
-    edges = graph.edges
-    sources = list(map(itemgetter(0), edges))
-    targets = list(map(itemgetter(1), edges))
-    return (
-        len(known) == len(ids)
-        and min(ids, default=0) >= 0
-        and _nodes_valid(graph.nodes)
-        and not any(map(eq, sources, targets))
-        and not any(map(eq, edges, islice(edges, 1, None)))
-        and known.issuperset(sources)
-        and known.issuperset(targets)
-    )
-
-
-def _nodes_valid(nodes) -> bool:
-    return all(0.0 <= n.epsilon <= 1.0 and is_one_field(n.label) and "," not in n.label
-               for n in nodes)
+    try:
+        graph.compiled
+    except GraphInvariantError as exc:
+        return exc.violations
+    return []
 
 
 def _violations(graph: DependencyGraph) -> list[str]:
@@ -337,17 +332,10 @@ def _read_canonical(text: str) -> DependencyGraph | None:
         return None
     (ids, labels, epsilons), (sources, targets) = columns, edge_columns
     nodes = tuple(map(EcuNode, ids, labels, epsilons))
-    # as ids ascend, source * n + target orders edges as their id pairs do
-    keys = map(add, map(len(ids).__mul__, sources), targets)
-    if not (min(ids, default=0) >= 0 and all(map(lt, ids, islice(ids, 1, None)))
-            # a label "node" may be a node line's kind, moved there by a field too many
-            and all(starmap(lt, pairwise(keys))) and "node" not in labels
-            and not any(map(eq, sources, targets)) and _nodes_valid(nodes)):
-        return None
-    offsets = (*map(bisect_left, repeat(sources), range(len(ids))), len(sources))
+    # a label "node" may be a node line's kind, moved there by a field too many
+    compiled = None if "node" in labels else _compiled(nodes, ids, sources, targets)
     # proved canonical: no __post_init__
-    return DependencyGraph._of(nodes=nodes, compiled=CompiledGraph(
-        tuple(ids), tuple(epsilons), offsets, tuple(targets)))
+    return compiled and DependencyGraph._of(nodes=nodes, compiled=compiled)
 
 
 def _read_records(text: str, path: str | None) -> DependencyGraph:

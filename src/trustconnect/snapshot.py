@@ -171,9 +171,10 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
     delta when j is compromised in an inference-corruption mode. Noise
     draws come from a fresh random.Random(seed) stream consumed in
     canonical edge order, so identical inputs give identical snapshots.
-    A graph that ``graph.compiled`` rejects raises GraphInvariantError. A value or
-    deviation that overflows raises here what ``deviations`` would; a finite sum of
-    magnitudes proves there is none.
+    A graph that ``graph.compiled`` rejects raises GraphInvariantError. A self-injected
+    value that overflows raises SnapshotMismatchError where it is formed, and an inferred
+    value or deviation that overflows raises here what ``deviations`` would; a finite sum
+    of magnitudes proves there is none.
     """
     node_ids = set(graph.node_ids)
     unknown = sorted(set(scenario.ground_truth) - node_ids)
@@ -193,6 +194,8 @@ def synthesize_snapshot(graph: DependencyGraph, scenario: ScenarioSpec) -> Snaps
         value = scenario.ground_truth[i]
         if attack is not None and attack.corrupts_observed and i in attack.compromised:
             value += attack.delta
+            if not math.isfinite(value):
+                raise SnapshotMismatchError(f"non-finite observed value {value!r} for node {i}")
         observed[i] = value
 
     rng = random.Random(scenario.seed)

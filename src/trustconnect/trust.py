@@ -305,16 +305,13 @@ def _json_list(texts: list[str], indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[2:]}]" if texts else "[]"
 
 
-def json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False)`` and a newline: a report document's text."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
 def _report_json(lists: dict[str, list[str]], rest: dict) -> str:
-    """``json_text`` of ``lists`` followed by ``rest``, which is not empty; each list is
-    given as its items' texts, a record's laid out two levels in."""
-    return "{\n" + "".join(f'  "{key}": {_json_list(texts, "    ")},\n'
-                            for key, texts in lists.items()) + json_text(rest)[2:]
+    """``json.dumps(doc, indent=2, allow_nan=False)`` and a newline, where ``doc`` is ``lists``
+    followed by ``rest``, which is not empty; each list is given as its items' texts, a
+    record's laid out two levels in."""
+    return ("{\n" + "".join(f'  "{key}": {_json_list(texts, "    ")},\n'
+                            for key, texts in lists.items())
+            + json.dumps(rest, indent=2, allow_nan=False)[2:] + "\n")
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,26 @@ class TestEval:
                 f"warning: inline scenario flags override {scenario}: --noise-sigma\n"
                 "trustconnect: error: non-finite inferred value -inf for edge (1, 3)\n"))
 
+    def test_a_warning_is_one_line_on_stderr(self, fixture_dir, capsys):
+        rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
+                   "--scenario-file", str(fixture_dir / "reference_scenario.txt"),
+                   "--mode", "fixed-point", "--alpha", "0.6"])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "trustconnect: warning: fixed-point evaluation did not converge within 100"
+            " iterations; returning the last iterate\n")
+
+    def test_an_inline_attack_whose_observed_value_overflows_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        save_graph(DependencyGraph((EcuNode(0, "A", 0.5), EcuNode(1, "B", 0.5)), ((0, 1),)), graph)
+        # node 1 has no out-edge, so no deviation reads its value
+        for node in ("0", "1"):
+            rc = main(["eval", "--graph", str(graph), "--truth-constant", "1e308",
+                       "--attack-nodes", node, "--delta", "1e308"])
+            assert rc == 2
+            assert capsys.readouterr() == (
+                "", f"trustconnect: error: non-finite observed value inf for node {node}\n")
+
     def test_attack_mode_without_attack_exits_2(self, fixture_dir, capsys):
         rc = main(["eval", "--graph", str(fixture_dir / "reference_graph.txt"),
                    "--attack-mode", "self-injection"])

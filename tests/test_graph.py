@@ -21,10 +21,12 @@ from trustconnect.graph import (
     save_graph,
     to_text,
     validate,
-    _is_valid,
     _violations,
 )
-from trustconnect.snapshot import ScenarioSpec, load_snapshot, save_snapshot, synthesize_snapshot
+from trustconnect.detector import detect
+from trustconnect.snapshot import (
+    ScenarioSpec, Snapshot, load_snapshot, save_snapshot, synthesize_snapshot,
+)
 from trustconnect.trust import TrustParams, full_report
 
 
@@ -133,8 +135,23 @@ def graphs_with_flaw(draw, flaw):
 @given(data=st.data())
 def test_bulk_accept_passes_exactly_when_the_scan_finds_nothing(flaw, data):
     graph = data.draw(graphs_with_flaw(flaw))
-    assert _is_valid(graph) == (_violations(graph) == []) == (flaw is None)
+    assert (validate(graph) == []) == (_violations(graph) == []) == (flaw is None)
     assert validate(graph) == _violations(graph)
+    if flaw is None:
+        return
+    ids = {*graph.node_ids, *(i for edge in graph.edges for i in edge)}
+    # a value for every endpoint and every edge, so that only the graph can be at fault
+    snapshot = Snapshot(observed=dict.fromkeys(ids, 1.0), inferred=dict.fromkeys(graph.edges, 1.0))
+    params = TrustParams(k=1.0, alpha=0.1)
+    for evaluate in (
+        lambda: graph.compiled,
+        lambda: synthesize_snapshot(graph, ScenarioSpec(dict.fromkeys(graph.node_ids, 1.0))),
+        lambda: full_report(graph, snapshot, params),
+        lambda: detect(graph, snapshot, params),
+    ):
+        with pytest.raises(GraphInvariantError) as excinfo:
+            evaluate()
+        assert excinfo.value.violations == _violations(graph)
 
 
 def test_constructor_canonicalizes_any_iterable_of_pairs():
@@ -346,7 +363,7 @@ def test_canonical_file_evaluates_without_compiling_or_revalidating(tmp_path, mo
         raise AssertionError("the bulk read hands over a checked, compiled graph")
 
     monkeypatch.setattr(graph_module, "_compile", fail)
-    monkeypatch.setattr(graph_module, "_is_valid", fail)
+    monkeypatch.setattr(graph_module, "_violations", fail)
     loaded = load_graph(tmp_path / "g.txt")
     report = full_report(loaded, load_snapshot(tmp_path / "s.txt", loaded), params)
     assert report.to_json() == expected.to_json()

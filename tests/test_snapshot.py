@@ -204,6 +204,17 @@ def test_finite_deviations_whose_sum_overflows_pass():
     assert deviations(g, snap) == [1e308, 1e308]
 
 
+@pytest.mark.parametrize("node", [0, 1])
+def test_a_self_injected_value_that_overflows_is_rejected_where_it_is_formed(node):
+    # node 1 has no out-edge, so no deviation would ever read its value
+    g, _ = two_node_snapshot(0.0, 0.0)
+    scenario = ScenarioSpec(constant_ground_truth(g, 1e308),
+                            attack=AttackSpec(compromised={node}, delta=1e308))
+    with pytest.raises(SnapshotMismatchError,
+                       match=f"^non-finite observed value inf for node {node}$"):
+        synthesize_snapshot(g, scenario)
+
+
 def _bulk_pair(tmp_path, graph, snapshot):
     """``graph`` and ``snapshot`` saved canonically and loaded back in bulk."""
     save_graph(graph, tmp_path / "graph.txt")

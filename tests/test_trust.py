@@ -40,7 +40,6 @@ from trustconnect.trust import (
     baseline_trust,
     edge_weights,
     full_report,
-    json_text,
     report_from_weights,
     trust_scores,
 )
@@ -682,17 +681,6 @@ json_strings = st.text(
     max_size=6,
 )
 json_finite = st.floats(allow_nan=False, allow_infinity=False)
-json_scalars = st.none() | st.booleans() | st.integers() | json_finite | json_strings
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_strings, inner, max_size=3),
-    max_leaves=8,
-)
-json_docs = st.dictionaries(
-    json_strings,
-    json_values | st.lists(st.dictionaries(json_strings, json_scalars, max_size=4), max_size=3),
-    max_size=4,
-)
 
 
 def _dumps(doc):
@@ -712,10 +700,6 @@ def _report_doc(report) -> dict:
 
 
 class TestJsonText:
-    @given(json_docs)
-    def test_equals_json_dumps_indent_2(self, doc):
-        assert json_text(doc) == _dumps(doc)
-
     @given(
         entries=st.lists(
             st.builds(
