@@ -318,5 +318,6 @@ def main(argv=None) -> int:
             if gc_enabled:
                 gc.enable()
 
+
 if __name__ == "__main__":
     sys.exit(main())
